@@ -6,13 +6,29 @@ let where = "arm.exec"
 let memory_fault fmt = Sim_error.raisef Sim_error.Memory_fault ~where fmt
 let decode_fault fmt = Sim_error.raisef Sim_error.Decode_fault ~where fmt
 
+(* Simulated memory is an array of 64 KB chunks.  Every slot of a fresh
+   state points at [zero_chunk]; the first store into a slot swaps in a
+   private zeroed chunk ([writable]).  [zero_chunk] itself is never
+   written, so one buffer serves every state in every domain, and a fresh
+   state costs the chunks its program touches rather than the whole
+   address space.  Aligned words and halves never straddle a chunk, and
+   unaligned accesses fault before reaching memory, so every access
+   touches exactly one chunk. *)
+type mem = Bytes.t array
+
+let chunk_bits = 16
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+let zero_chunk = Bytes.make chunk_size '\000'
+
 type t = {
   regs : int array;
   mutable nf : bool;
   mutable zf : bool;
   mutable cf : bool;
   mutable vf : bool;
-  mem : Bytes.t;
+  mem : mem;
+  mem_size : int;
   image : Image.t;
   mutable halted : bool;
   out : Buffer.t;
@@ -34,59 +50,86 @@ let outcome () =
   { executed = false; branch_taken = false; next_pc = 0; mem_addr = -1;
     mem_is_load = false; mem_words = 0 }
 
+let writable t addr =
+  let i = addr lsr chunk_bits in
+  let c = t.mem.(i) in
+  if c != zero_chunk then c
+  else begin
+    let c = Bytes.make chunk_size '\000' in
+    t.mem.(i) <- c;
+    c
+  end
+
+let raw_store_word t addr v =
+  Bytes.set_int32_le (writable t addr) (addr land chunk_mask)
+    (Int32.of_int (Bits.u32 v))
+
 let create (image : Image.t) =
-  let mem = Bytes.make image.Image.mem_size '\000' in
-  let store_word_raw addr v =
-    Bytes.set_int32_le mem addr (Int32.of_int (Bits.u32 v))
-  in
-  Array.iteri
-    (fun i w -> store_word_raw (image.Image.code_base + (i * 4)) w)
-    image.Image.words;
-  List.iter
-    (fun (addr, ws) ->
-      Array.iteri (fun i w -> store_word_raw (addr + (i * 4)) w) ws)
-    image.Image.data_init;
+  let mem_size = image.Image.mem_size in
   (* 17 registers: r0-r15 plus one over-provisioned scratch register used
      by FITS micro-operation expansions (never encodable, never named by
      compiled ARM code). *)
   let regs = Array.make 17 0 in
-  regs.(sp) <- image.Image.mem_size - 16;
+  regs.(sp) <- mem_size - 16;
   regs.(lr) <- halt_sentinel;
   regs.(pc) <- image.Image.entry;
-  { regs; nf = false; zf = false; cf = false; vf = false; mem; image;
-    halted = false; out = Buffer.create 64; steps = 0 }
+  let t =
+    { regs; nf = false; zf = false; cf = false; vf = false;
+      mem = Array.make ((mem_size + chunk_mask) lsr chunk_bits) zero_chunk;
+      mem_size; image; halted = false; out = Buffer.create 64; steps = 0 }
+  in
+  Array.iteri
+    (fun i w -> raw_store_word t (image.Image.code_base + (i * 4)) w)
+    image.Image.words;
+  List.iter
+    (fun (addr, ws) ->
+      Array.iteri (fun i w -> raw_store_word t (addr + (i * 4)) w) ws)
+    image.Image.data_init;
+  t
 
 let check_range t addr len =
-  if addr < 0 || addr + len > Bytes.length t.mem then
+  if addr < 0 || addr + len > t.mem_size then
     memory_fault "memory access out of range: 0x%x" addr
+
+let chunk t addr = t.mem.(addr lsr chunk_bits)
 
 let load_word t addr =
   if addr land 3 <> 0 then memory_fault "unaligned word load: 0x%x" addr;
   check_range t addr 4;
-  Int32.to_int (Bytes.get_int32_le t.mem addr) land 0xFFFF_FFFF
+  Int32.to_int (Bytes.get_int32_le (chunk t addr) (addr land chunk_mask))
+  land 0xFFFF_FFFF
 
 let store_word t addr v =
   if addr land 3 <> 0 then memory_fault "unaligned word store: 0x%x" addr;
   check_range t addr 4;
-  Bytes.set_int32_le t.mem addr (Int32.of_int (Bits.u32 v))
+  raw_store_word t addr v
 
 let load_byte t addr =
   check_range t addr 1;
-  Char.code (Bytes.get t.mem addr)
+  Char.code (Bytes.get (chunk t addr) (addr land chunk_mask))
 
 let store_byte t addr v =
   check_range t addr 1;
-  Bytes.set t.mem addr (Char.chr (v land 0xFF))
+  Bytes.set (writable t addr) (addr land chunk_mask) (Char.chr (v land 0xFF))
 
 let load_half t addr =
   if addr land 1 <> 0 then memory_fault "unaligned half load: 0x%x" addr;
   check_range t addr 2;
-  Bytes.get_uint16_le t.mem addr
+  Bytes.get_uint16_le (chunk t addr) (addr land chunk_mask)
 
 let store_half t addr v =
   if addr land 1 <> 0 then memory_fault "unaligned half store: 0x%x" addr;
   check_range t addr 2;
-  Bytes.set_uint16_le t.mem addr (v land 0xFFFF)
+  Bytes.set_uint16_le (writable t addr) (addr land chunk_mask) (v land 0xFFFF)
+
+(* Writing only words that differ keeps a zero word copied onto a zero
+   chunk from allocating a private chunk. *)
+let copy_words ~src ~dst ~addr ~words =
+  for w = 0 to words - 1 do
+    let a = addr + (4 * w) in
+    let v = load_word src a in
+    if load_word dst a <> v then store_word dst a v
+  done
 
 (* Reading r15 yields the address of the instruction plus 8, as on ARM. *)
 let read_reg t ~pc r = if r = Insn.pc then Bits.u32 (pc + 8) else t.regs.(r)

@@ -13,6 +13,10 @@
     words and unknown SWIs, [Watchdog_timeout] for step-budget
     exhaustion. *)
 
+type mem
+(** Simulated memory: [mem_size] bytes, zero wherever nothing was
+    written.  Reached only through the accessors below. *)
+
 type t = {
   regs : int array;
       (** 17 registers, unsigned 32-bit: r0-r15 plus one over-provisioned
@@ -21,7 +25,8 @@ type t = {
   mutable zf : bool;
   mutable cf : bool;
   mutable vf : bool;
-  mem : Bytes.t;
+  mem : mem;
+  mem_size : int;          (** bytes of address space, [image.mem_size] *)
   image : Image.t;
   mutable halted : bool;
   out : Buffer.t;          (** text written by SWI print calls *)
@@ -33,7 +38,9 @@ val halt_sentinel : int
 
 val create : Image.t -> t
 (** Fresh state: memory holds the code and initialized data, [sp] points to
-    the top of memory, [lr] to {!halt_sentinel}, [pc] to the entry point. *)
+    the top of memory, [lr] to {!halt_sentinel}, [pc] to the entry point.
+    Memory is allocated in 64 KB chunks on first write, so a fresh state
+    costs the chunks the image and the run touch, not [mem_size]. *)
 
 (** Result of executing one instruction; a single mutable record is reused
     across steps to keep the simulator allocation-free on the hot path. *)
@@ -80,6 +87,11 @@ val load_word : t -> int -> int
 val store_word : t -> int -> int -> unit
 
 val load_byte : t -> int -> int
+
+val copy_words : src:t -> dst:t -> addr:int -> words:int -> unit
+(** Copy [words] aligned words starting at [addr] from [src]'s memory
+    into [dst]'s — how the multicore coherence layer propagates a
+    shared-window store.  Faults like {!load_word}/{!store_word}. *)
 
 (** {2 Engine internals}
 

@@ -22,7 +22,8 @@ let make ?(code_base = 0x8000) ?(data_base = 0x10_0000)
   List.iter
     (fun (addr, ws) ->
       if addr < data_base || addr + (Array.length ws * 4) > mem_size then
-        invalid_arg "Image.make: data blob outside data segment")
+        invalid_arg "Image.make: data blob outside data segment";
+      if addr land 3 <> 0 then invalid_arg "Image.make: unaligned data blob")
     data_init;
   (match code_mask with
   | Some m when Array.length m <> Array.length words ->

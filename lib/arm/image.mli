@@ -32,8 +32,9 @@ val make :
     at [0x100000], 8 MiB of memory.  [code_mask] marks which words are
     instructions (default: all); words masked off — literal-pool data —
     pre-decode to [None] so no consumer mistakes pool constants for
-    instructions.  Raises [Invalid_argument] if segments overlap or the
-    entry point lies outside the code segment. *)
+    instructions.  Raises [Invalid_argument] if segments overlap, a data
+    blob is unaligned or the entry point lies outside the code
+    segment. *)
 
 val code_size_bytes : t -> int
 

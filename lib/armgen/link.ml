@@ -5,6 +5,12 @@ exception Link_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Link_error s)) fmt
 
+(* The program itself does not fit the address space: the client's
+   fault, not the linker's. *)
+let too_big fmt =
+  Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config
+    ~where:"armgen.link" fmt
+
 (* Pack initializer elements into little-endian words. *)
 let pack_words scale length init =
   let bytes = Bytes.make (((length * scale_bytes scale) + 3) land lnot 3) '\000' in
@@ -196,7 +202,7 @@ let link ?(code_base = 0x8000) ?(data_base = 0x10_0000)
     error "no main function";
   let global_addr, data_init, data_end = layout_globals ~data_base globals in
   if data_end > mem_size - 65536 then
-    error "globals leave no room for the stack";
+    too_big "globals leave no room for the stack";
   let fundefs = start_stub :: fundefs in
   let placed = ref [] in
   let base = ref code_base in
@@ -208,7 +214,7 @@ let link ?(code_base = 0x8000) ?(data_base = 0x10_0000)
     fundefs;
   let placed = List.rev !placed in
   if !base > data_base then
-    error "code segment overflows into the data segment (%d bytes)"
+    too_big "code segment overflows into the data segment (%d bytes)"
       (!base - code_base);
   let func_addr = Hashtbl.create 16 in
   List.iter (fun p -> Hashtbl.replace func_addr p.fname p.base) placed;

@@ -17,4 +17,6 @@ val link :
 (** [link fundefs globals] produces a loadable image.  [fundefs] must
     define ["main"].
     @raise Link_error on branch/pool offsets out of range or missing
-    symbols. *)
+    symbols.  A program too big for the address space (globals leaving
+    no room for the stack, code overflowing into the data segment) raises
+    {!Pf_util.Sim_error.Error} with [Invalid_config]. *)

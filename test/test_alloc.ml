@@ -152,6 +152,20 @@ let test_single_pass_sweep_alloc () =
   check_budget "Sweep.run (36-geometry single-pass kernel)"
     (minor_delta run)
 
+(* A fresh state costs the memory chunks its image touches, not its
+   whole address space: creating one over the default 8 MB must allocate
+   well under 1 MB.  A flat per-state copy of memory fails this at once. *)
+let test_exec_create_alloc () =
+  let image = loop_image () in
+  Alcotest.(check int) "default 8 MB address space" (8 * 1024 * 1024)
+    image.Pf_arm.Image.mem_size;
+  ignore (Pf_arm.Exec.create image);
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Pf_arm.Exec.create image));
+  let delta = Gc.allocated_bytes () -. before in
+  if delta >= 1_048_576. then
+    Alcotest.failf "Exec.create allocated %.0f bytes (budget 1 MB)" delta
+
 let tests =
   [
     Alcotest.test_case "ARM step loop is allocation-free" `Quick
@@ -172,4 +186,6 @@ let tests =
       test_dse_sweep_alloc;
     Alcotest.test_case "single-pass sweep kernel is allocation-free" `Quick
       test_single_pass_sweep_alloc;
+    Alcotest.test_case "Exec.create allocates only touched chunks" `Quick
+      test_exec_create_alloc;
   ]

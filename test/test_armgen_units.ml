@@ -175,6 +175,20 @@ let test_runtime_division_linked_once () =
   Alcotest.(check string) "division works" "14\n2\n"
     (Pf_armgen.Compile.run image)
 
+(* A global array larger than the address space is the client's fault:
+   a structured [Invalid_config], not an internal linker error. *)
+let test_oversized_global_invalid_config () =
+  let p =
+    program [ garray "huge" Pf_kir.Ast.W32 (4 * 1024 * 1024) ]
+      [ func "main" [] [ print_int (i 1) ] ]
+  in
+  match compile p with
+  | _ -> Alcotest.fail "an oversized global must not link"
+  | exception Pf_util.Sim_error.Error e ->
+      Alcotest.(check string) "kind" "invalid-config"
+        (Pf_util.Sim_error.kind_name e.Pf_util.Sim_error.kind);
+      Alcotest.(check string) "where" "armgen.link" e.Pf_util.Sim_error.where
+
 let tests =
   [
     Alcotest.test_case "pool dedup" `Quick test_pool_dedup;
@@ -189,4 +203,6 @@ let tests =
     Alcotest.test_case "deep call trees" `Quick test_deep_expression_rejected;
     Alcotest.test_case "division runtime linking" `Quick
       test_runtime_division_linked_once;
+    Alcotest.test_case "oversized global is Invalid_config" `Quick
+      test_oversized_global_invalid_config;
   ]

@@ -241,6 +241,172 @@ let test_step_budget () =
          { kind = Pf_util.Sim_error.Watchdog_timeout; _ } ->
          true)
 
+(* ---- chunked memory ---------------------------------------------------- *)
+
+(* Memory is allocated in 64 KB chunks.  This image's address space ends
+   inside its third chunk at an address that is not word-aligned, and an
+   initialized blob straddles the first chunk boundary. *)
+let chunk = 65536
+let small_size = (2 * chunk) + 4658
+let blob_addr = chunk - 8
+
+let small_image () =
+  Pf_arm.Image.make ~data_base:0x9000 ~mem_size:small_size
+    ~data_init:
+      [ (blob_addr, [| 0x11223344; 0x55667788; 0x99aabbcc; 0xddeeff00 |]) ]
+    ~entry:0x8000
+    [| Pf_arm.Encode.encode nop |]
+
+(* The reference: one flat [Bytes.t] over the whole address space, with
+   the interpreter's alignment and range rules. *)
+let flat_of_image (im : Pf_arm.Image.t) =
+  let m = Bytes.make im.Pf_arm.Image.mem_size '\000' in
+  let put a w = Bytes.set_int32_le m a (Int32.of_int w) in
+  Array.iteri (fun k w -> put (im.Pf_arm.Image.code_base + (4 * k)) w)
+    im.Pf_arm.Image.words;
+  List.iter
+    (fun (a, ws) -> Array.iteri (fun k w -> put (a + (4 * k)) w) ws)
+    im.Pf_arm.Image.data_init;
+  m
+
+type mem_op = Load of A.mem_width * int | Store of A.mem_width * int * int
+
+let width_bytes = function A.Word -> 4 | A.Half -> 2 | A.Byte -> 1
+let width_name = function
+  | A.Word -> "word"
+  | A.Half -> "half"
+  | A.Byte -> "byte"
+
+let flat_access m op =
+  let fault fmt =
+    Pf_util.Sim_error.raisef Pf_util.Sim_error.Memory_fault ~where:"arm.exec"
+      fmt
+  in
+  let check w addr dir =
+    let n = width_bytes w in
+    if addr land (n - 1) <> 0 then
+      fault "unaligned %s %s: 0x%x" (width_name w) dir addr;
+    if addr < 0 || addr + n > Bytes.length m then
+      fault "memory access out of range: 0x%x" addr
+  in
+  match op with
+  | Load (w, addr) -> (
+      check w addr "load";
+      match w with
+      | A.Word -> Int32.to_int (Bytes.get_int32_le m addr) land 0xFFFF_FFFF
+      | A.Half -> Bytes.get_uint16_le m addr
+      | A.Byte -> Char.code (Bytes.get m addr))
+  | Store (w, addr, v) ->
+      check w addr "store";
+      (match w with
+      | A.Word -> Bytes.set_int32_le m addr (Int32.of_int v)
+      | A.Half -> Bytes.set_uint16_le m addr (v land 0xFFFF)
+      | A.Byte -> Bytes.set m addr (Char.chr (v land 0xFF)));
+      0
+
+let chunked_access st = function
+  | Load (A.Word, a) -> E.load_word st a
+  | Load (A.Half, a) -> E.load_half st a
+  | Load (A.Byte, a) -> E.load_byte st a
+  | Store (A.Word, a, v) -> E.store_word st a v; 0
+  | Store (A.Half, a, v) -> E.store_half st a v; 0
+  | Store (A.Byte, a, v) -> E.store_byte st a v; 0
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Pf_util.Sim_error.Error e ->
+      Error (e.Pf_util.Sim_error.kind, e.Pf_util.Sim_error.detail)
+
+let addr_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (* on and around every chunk boundary *)
+        ( 4,
+          map2 (fun k d -> (k * chunk) + d) (int_range 0 3) (int_range (-6) 6)
+        );
+        (* around the end of the address space *)
+        (2, map (fun d -> small_size + d) (int_range (-8) 4));
+        (1, int_range (-8) (-1));
+        (1, oneofl [ 0x7FFF_FFFF; 0xFFFF_FFFC; 0xFFFF_FFFF ]);
+        (3, int_range 0 (small_size - 1));
+      ])
+
+let op_gen =
+  QCheck.Gen.(
+    map3
+      (fun (w, load) addr v ->
+        if load then Load (w, addr) else Store (w, addr, v))
+      (pair (oneofl [ A.Word; A.Half; A.Byte ]) bool)
+      addr_gen (int_range 0 0xFFFF_FFFF))
+
+let print_op = function
+  | Load (w, a) -> Printf.sprintf "load %s 0x%x" (width_name w) a
+  | Store (w, a, v) -> Printf.sprintf "store %s 0x%x <- 0x%x" (width_name w) a v
+
+let prop_chunked_matches_flat =
+  QCheck.Test.make ~name:"chunked memory matches a flat reference" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) op_gen))
+    (fun ops ->
+      let image = small_image () in
+      let st = E.create image and m = flat_of_image image in
+      List.iter
+        (fun op ->
+          if outcome (fun () -> chunked_access st op)
+             <> outcome (fun () -> flat_access m op)
+          then QCheck.Test.fail_reportf "differs at %s" (print_op op))
+        ops;
+      (* and every byte agrees afterwards *)
+      for a = 0 to small_size - 1 do
+        if E.load_byte st a <> Char.code (Bytes.get m a) then
+          QCheck.Test.fail_reportf "final byte 0x%x differs" a
+      done;
+      true)
+
+let test_states_isolated () =
+  let image = small_image () in
+  let a = E.create image and b = E.create image in
+  let addr = chunk + 64 in
+  E.store_word a addr 7;
+  E.store_byte a (small_size - 1) 9;
+  check_int "writer sees its word" 7 (E.load_word a addr);
+  check_int "sibling still reads zero" 0 (E.load_word b addr);
+  check_int "sibling's last byte still zero" 0 (E.load_byte b (small_size - 1));
+  check_int "a later state starts clean" 0 (E.load_word (E.create image) addr)
+
+(* Worker [k] writes [k + 1] at word [k] of sixteen chunks, in parallel
+   with the others; a write that reached a shared chunk would show up in
+   another state, or in a state created afterwards. *)
+let test_states_isolated_across_domains () =
+  let image = Pf_arm.Image.make ~entry:0x8000 [| Pf_arm.Encode.encode nop |] in
+  let workers = List.init 8 Fun.id in
+  let slot c k = (c * 4 * chunk) + 0x40 + (4 * k) in
+  let ok =
+    Pf_util.Pool.map ~jobs:2
+      (fun k ->
+        let st = E.create image in
+        for c = 0 to 15 do E.store_word st (slot c k) (k + 1) done;
+        List.for_all
+          (fun j ->
+            let want = if j = k then k + 1 else 0 in
+            List.for_all (fun c -> E.load_word st (slot c j) = want)
+              (List.init 16 Fun.id))
+          workers)
+      workers
+  in
+  check_bool "each state sees exactly its own writes" true
+    (List.for_all Fun.id ok);
+  let fresh = E.create image in
+  check_bool "a fresh state reads zero everywhere" true
+    (List.for_all
+       (fun k ->
+         List.for_all (fun c -> E.load_word fresh (slot c k) = 0)
+           (List.init 16 Fun.id))
+       workers)
+
 let tests =
   [
     Alcotest.test_case "add flags" `Quick test_add_flags;
@@ -262,4 +428,9 @@ let tests =
     Alcotest.test_case "run halts on sentinel" `Quick
       test_run_halts_on_sentinel;
     Alcotest.test_case "step budget" `Quick test_step_budget;
+    Alcotest.test_case "chunked memory: states are isolated" `Quick
+      test_states_isolated;
+    Alcotest.test_case "chunked memory: isolated across domains" `Quick
+      test_states_isolated_across_domains;
+    QCheck_alcotest.to_alcotest prop_chunked_matches_flat;
   ]

@@ -435,6 +435,24 @@ let test_compute_matches_direct () =
         (Option.bind (J.member "output_md5" result) J.to_string_opt
         = Some (Digest.to_hex (Digest.string direct.Pf_cpu.Arm_run.output)))
 
+let test_oversized_program_invalid_config () =
+  (* a program too big to link is the client's error, reported as
+     Invalid_config rather than Internal *)
+  let huge =
+    Pf_kir.Build.(
+      program
+        [ garray "huge" Pf_kir.Ast.W32 (4 * 1024 * 1024) ]
+        [ func "main" [] [ print_int (i 1) ] ])
+  in
+  match
+    Service.handle
+      { Proto.default_request with Proto.program = Proto.Inline huge }
+  with
+  | Proto.Error_reply e ->
+      check_string "kind" "invalid-config" (SE.kind_name e.SE.kind);
+      check_string "where" "armgen.link" e.SE.where
+  | _ -> Alcotest.fail "expected an error reply"
+
 let test_handle_cached_bit_identical () =
   let dir = tmpdir "svc-store" in
   let store, _ = Store.open_ ~fsync:false dir in
@@ -818,6 +836,8 @@ let tests =
     Alcotest.test_case "service: cache keys" `Quick test_cache_keys;
     Alcotest.test_case "service: matches direct run" `Quick
       test_compute_matches_direct;
+    Alcotest.test_case "service: oversized program is Invalid_config" `Quick
+      test_oversized_program_invalid_config;
     Alcotest.test_case "service: cached reply bit-identical" `Quick
       test_handle_cached_bit_identical;
     Alcotest.test_case "service: half-scale degradation" `Slow

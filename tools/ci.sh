@@ -126,10 +126,11 @@ echo "== multicore litmus smoke: weak-memory outcomes under seed sweep =="
 # Every litmus test (SB, MP, LB, CoWW, CoRR, fenced SB, IRIW) runs across
 # a seeded interleaving sweep; any outcome outside the operational model's
 # allowed set makes the CLI exit 3, and the summary line must report zero
-# forbidden outcomes.  Two sweeps with different seeds-counts also guard
+# forbidden outcomes.  The first sweep uses the CLI's default 1000
+# seeds.  Two sweeps with different seeds-counts also guard
 # the histogram's jobs-independence at the CLI level.
 MC_DIR=$(mktemp -d)
-"$PF" mc --litmus --seeds 200 --jobs 2 >"$MC_DIR/litmus.out"
+"$PF" mc --litmus --seeds 1000 --jobs 2 >"$MC_DIR/litmus.out"
 grep -q "forbidden=0" "$MC_DIR/litmus.out" || {
   echo "ci: litmus sweep reported forbidden outcomes"; cat "$MC_DIR/litmus.out"; exit 1; }
 "$PF" mc --litmus --test mp --sched rr --seeds 1 >"$MC_DIR/rr.out"

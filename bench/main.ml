@@ -32,24 +32,22 @@ let jobs =
   | Some j when j >= 1 -> j
   | Some _ | None -> Pf_harness.Pool.default_jobs ()
 
-(* `--engine reference|predecoded|compiled` pins the execution engine of
-   the figures sweep, the headline aggregate and the `--check` gate
-   (default: compiled, the fastest engine — the one whose regressions
-   matter).  Every engine retires the identical architectural stream, so
-   this changes throughput figures only, never results. *)
+(* `--engine reference|compiled` pins the execution engine of the
+   figures sweep, the headline aggregate and the `--check` gate (default:
+   compiled, the fast engine — the one whose regressions matter).  Both
+   engines retire the identical architectural stream, so this changes
+   throughput figures only, never results. *)
 let engine_name = function
   | Pf_cpu.Arm_run.Reference -> "reference"
-  | Pf_cpu.Arm_run.Predecoded -> "predecoded"
   | Pf_cpu.Arm_run.Compiled -> "compiled"
 
 let engine =
   let of_name = function
     | "reference" -> Pf_cpu.Arm_run.Reference
-    | "predecoded" -> Pf_cpu.Arm_run.Predecoded
     | "compiled" -> Pf_cpu.Arm_run.Compiled
     | s ->
         Printf.eprintf
-          "bench: unknown --engine %s (want reference|predecoded|compiled)\n"
+          "bench: unknown --engine %s (want reference|compiled)\n"
           s;
         exit 2
   in
@@ -529,8 +527,8 @@ let run_check file =
 (* Per-engine throughput matrix: the same sequential 21-benchmark sweep
    under each execution engine.  Results are engine-invariant (the
    differential tests pin that), so the aggregates differ only in
-   simulator speed — the compiled engine's speedup over the interpreters
-   is the ratio of its row to theirs. *)
+   simulator speed — the compiled engine's speedup over the reference
+   interpreter is the ratio of their rows. *)
 let engine_matrix () =
   heading "engine throughput matrix (sequential 21-benchmark sweep)";
   List.map
@@ -541,8 +539,7 @@ let engine_matrix () =
         (engine_name e) rate sweep.Pf_harness.Experiment.completed
         sweep.Pf_harness.Experiment.total;
       (engine_name e, rate))
-    [ Pf_cpu.Arm_run.Reference; Pf_cpu.Arm_run.Predecoded;
-      Pf_cpu.Arm_run.Compiled ]
+    [ Pf_cpu.Arm_run.Reference; Pf_cpu.Arm_run.Compiled ]
 
 let write_sweep_json ~engine_rates ~explore_rate ~sweep_rate ~serve
     ~population:(pop_gen_rate, pop_steps_rate) ~mc_rate

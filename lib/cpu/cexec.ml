@@ -1,4 +1,4 @@
-(* Compiled-block layer shared by the ARM and FITS drivers: pairs each
+(* Compiled-block layer of the block driver ([Step.run], both ISAs): pairs each
    lazily built Bexec block with the per-instruction static trace metas
    (Trace packing lives up here — lib/arm cannot depend on lib/cpu).  The
    metas double as the packed event stream: [pairs] interleaves each

@@ -1,24 +1,31 @@
-(** Per-core single-instruction stepper: the sequential predecoded loop
-    body ({!Arm_run} and its FITS twin) factored into a resumable object,
-    so a multicore scheduler can interleave cores one instruction at a
-    time without forking the engine semantics.
+(** The one fast engine, for both ISAs: a per-core object that runs a
+    predecoded instruction stream through the full I-cache + pipeline +
+    power stack.
 
     Each [t] is one core: architectural state, predecoded micro-ops,
-    private I-cache, private D-cache, pipeline and power account.  One
-    {!step} performs exactly one iteration of the sequential loops — same
-    watchdog, same deadline polling (every [Exec.deadline_mask + 1]
-    steps), same fault conditions, same {!Pipeline.issue} call, optional
-    {!Trace.record} — so a single-core machine is bit-identical to
-    [Arm_run.run ~engine:Predecoded] / [Pf_fits.Run.run ~engine:Predecoded]
-    field by field (floats by their IEEE bits; the mc test suite pins
-    this).  Per-core PowerFITS accounting falls out unchanged; the
-    machine layer ({!Pf_mc.Machine}) sums the per-core reports. *)
+    private I-cache, private D-cache, pipeline and power account.  It is
+    driven two ways:
+    - {!run} is the block-compiled driver behind [Arm_run.run] and
+      [Pf_fits.Run.run] (their [Compiled] engine): one dispatch per basic
+      block, fused ALU runs issued as single spans, block-granular trace
+      events;
+    - {!step} retires exactly one instruction.  A multicore scheduler
+      ({!Pf_mc.Machine}) interleaves cores with it, and the FITS runner's
+      [on_step] hook path loops it.
+    {!run} executes {!step} itself whenever a watchdog exhaustion or a
+    deadline poll (every [Exec.deadline_mask + 1] steps) would land inside
+    the next block, so faults, polls and every statistic are identical
+    either way.  Both are pinned bit-identical to the [Reference] oracles
+    field by field, floats by their IEEE bits. *)
 
 type result = {
   instructions : int;       (** retired instructions at this core's isize *)
   src_instructions : int;
       (** ARM-source instructions: equals [instructions] on ARM cores,
           counts first-of-group slots on FITS cores *)
+  src_one_to_one : int;
+      (** source instructions whose FITS group is a single instruction
+          (the dynamic 1-to-1 mapping numerator); 0 on ARM cores *)
   cycles : int;
   ipc : float;              (** source instructions per cycle *)
   fetch_accesses : int;
@@ -33,9 +40,10 @@ type result = {
 type t
 
 val default_cache_cfg : Pf_cache.Icache.config
-(** 16 KB, the ARM baseline geometry ({!Arm_run.default_cache_cfg}). *)
+(** 16 KB, 32-byte blocks, 32-way: the SA-1100 I-cache, the ARM16 baseline. *)
 
 val create :
+  ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
@@ -56,10 +64,14 @@ val create :
     indexed from [code_base] in 32-bit words.  [src], for FITS cores,
     gives per-slot (first-of-group, group-is-singleton) flags indexed
     like [uops] — they drive the source-instruction counts the FITS
-    runner reports.  [max_steps] (default 500 million) is the per-core
-    watchdog; [trace] must be created with the matching [isize]. *)
+    runner reports.  [cache] substitutes a pre-built I-cache (one created
+    with [~classify:true], or with scheduled tag flips); its geometry must
+    match [cache_cfg], which still drives the power model.  [max_steps]
+    (default 500 million) is the per-core watchdog; [trace] must be
+    created with the matching [isize]. *)
 
 val of_image :
+  ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
@@ -72,11 +84,16 @@ val of_image :
 (** ARM convenience: predecode the image ({!Pf_arm.Pexec.compile}), make
     a fresh {!Pf_arm.Exec.t} and wrap them as an [isize]-4 core. *)
 
+val run : t -> unit
+(** Run the core to completion with the block-compiled driver.  Raises
+    exactly what a loop of {!step} would raise, at the same step. *)
+
 val step : t -> unit
 (** Advance the core by exactly one instruction (or by the halt
     transition when the pc reaches the sentinel).  No-op once halted.
-    Raises the engines' structured errors ([Watchdog_timeout],
-    [Decode_fault], deadline expiry) under [where = "cpu.step"]. *)
+    Raises the sequential runners' structured errors: [Watchdog_timeout],
+    [Decode_fault] and deadline expiry under [where = "arm.exec"] on ARM
+    cores and [where = "fits.run"] on FITS cores, with their messages. *)
 
 val halted : t -> bool
 

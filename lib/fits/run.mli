@@ -26,22 +26,35 @@ type result = {
   power : Pf_power.Account.report;
 }
 
-type engine = Pf_cpu.Arm_run.engine = Reference | Predecoded | Compiled
-(** Interpreter choice, shared with the ARM runner: [Predecoded] (default)
-    executes the stream via {!Pf_arm.Pexec} micro-ops with no per-step
-    allocation; [Compiled] dispatches per basic block ({!Pf_arm.Bexec})
-    with dead-flag elision and exact boundary-mode watchdog/deadline
-    semantics (when [on_step] is supplied the per-instruction path is
-    used, since the hook observes every step); [Reference] dispatches
-    {!Mapping.micro} through {!Pf_arm.Exec.execute} each step.
-    Bit-identical results across all three. *)
+type engine = Pf_cpu.Arm_run.engine = Reference | Compiled
+(** Interpreter choice, shared with the ARM runner: [Compiled] (default)
+    is the one fast engine, {!Pf_cpu.Step.run}, dispatching the
+    predecoded stream per basic block (when [on_step] is supplied,
+    {!Pf_cpu.Step.step} drives it one instruction at a time, since the
+    hook observes every step); [Reference] dispatches {!Mapping.micro}
+    through {!Pf_arm.Exec.execute} each step and is kept as the
+    differential oracle.  Bit-identical results across both. *)
 
 val predecode : Translate.t -> Pf_arm.Pexec.uop array
 (** Predecode the translated 16-bit stream: one micro-op per slot
     (indexed like [Translate.insns]), with the same pipeline metadata the
-    runners attach.  Exported for the multicore per-core stepper
-    ({!Pf_cpu.Step}), which drives FITS cores through the identical
-    micro-op semantics without owning a run loop of its own. *)
+    reference runner attaches. *)
+
+val stepper :
+  ?cache:Pf_cache.Icache.t ->
+  ?cache_cfg:Pf_cache.Icache.config ->
+  ?pipeline_cfg:Pf_cpu.Pipeline.config ->
+  ?power_params:Pf_power.Account.Params.t ->
+  ?classify:bool ->
+  ?max_steps:int ->
+  ?deadline:Pf_util.Deadline.t ->
+  ?trace:Pf_cpu.Trace.t ->
+  Translate.t ->
+  Pf_cpu.Step.t
+(** The translated program as a FITS core: its {!predecode}d stream with
+    the per-slot source-retirement flags ([Translate.first], singleton
+    groups) behind the ARM-instruction counts.  {!run} drives one; the
+    multicore machine ({!Pf_mc.Machine}) interleaves several. *)
 
 val run :
   ?engine:engine ->

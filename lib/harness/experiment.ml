@@ -72,15 +72,10 @@ let of_fits (r : Pf_fits.Run.result) =
    tests) without executing the program an extra time.  The ARM side
    therefore runs first and the reference output is the ARM run's output;
    cross-ISA consistency is still asserted against the FITS runs, and
-   cross-ENGINE architectural identity is pinned by the three-way
-   differential tests. *)
-let engine_fits : Pf_cpu.Arm_run.engine -> Pf_fits.Run.engine = function
-  | Pf_cpu.Arm_run.Reference -> Pf_fits.Run.Reference
-  | Pf_cpu.Arm_run.Predecoded -> Pf_fits.Run.Predecoded
-  | Pf_cpu.Arm_run.Compiled -> Pf_fits.Run.Compiled
-
+   cross-ENGINE architectural identity is pinned by the differential
+   tests. *)
 let run_benchmark ?(scale = 1) ?(classify = false)
-    ?(engine = Pf_cpu.Arm_run.Predecoded) ?max_steps ?deadline
+    ?(engine = Pf_cpu.Arm_run.Compiled) ?max_steps ?deadline
     (b : Pf_mibench.Registry.benchmark) =
   let check () = Pf_util.Deadline.check ~where:"harness.experiment" deadline in
   let p = b.Pf_mibench.Registry.program ~scale in
@@ -109,8 +104,8 @@ let run_benchmark ?(scale = 1) ?(classify = false)
   let thumb = Pf_thumb.Translate.estimate image in
   let fits_trace = Pf_cpu.Trace.create ~isize:2 () in
   let fits16_r =
-    Pf_fits.Run.run ~engine:(engine_fits engine) ~cache_cfg:cache_16k
-      ~classify ?max_steps ?deadline ~trace:fits_trace tr
+    Pf_fits.Run.run ~engine ~cache_cfg:cache_16k ~classify ?max_steps
+      ?deadline ~trace:fits_trace tr
   in
   let fits8_r =
     Pf_fits.Run.replay ~cache_cfg:cache_8k ~classify ~like:fits16_r tr

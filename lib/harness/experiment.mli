@@ -64,10 +64,10 @@ val run_benchmark :
     bit-identical to direct simulation.  The ARM16 recording doubles as
     the profiling run: synthesis consumes {!Pf_cpu.Trace.exec_counts} of
     its trace, which is bit-identical to a dedicated counting execution.
-    [engine] (default [Predecoded]) selects the execution engine for both
-    recording runs; every engine retires the identical architectural
-    stream (three-way differential tests), so results do not depend on
-    it.  [max_steps] is a per-run step watchdog and [deadline] a
+    [engine] (default [Compiled]) selects the execution engine for both
+    recording runs; both engines retire the identical architectural
+    stream (differential tests), so results do not depend on it.
+    [max_steps] is a per-run step watchdog and [deadline] a
     wall-clock one, polled inside the execute loops and at phase
     boundaries; exhaustion of either raises a [Watchdog_timeout]
     {!Pf_util.Sim_error.Error}. *)

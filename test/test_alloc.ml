@@ -41,12 +41,19 @@ let check_budget what delta =
                     (budget %d): a per-step allocation crept back in"
       what delta budget
 
+(* The per-instruction path: [Step.step], the multicore machine's loop,
+   driven to completion over the full stack. *)
 let test_arm_run_alloc () =
   let image = loop_image () in
+  let run () =
+    let core = Pf_cpu.Step.of_image image in
+    while not (Pf_cpu.Step.halted core) do
+      Pf_cpu.Step.step core
+    done
+  in
   (* warm up: one full run outside the measurement *)
-  ignore (Pf_cpu.Arm_run.run image);
-  let delta = minor_delta (fun () -> ignore (Pf_cpu.Arm_run.run image)) in
-  check_budget "Arm_run.run (predecoded, full stack)" delta
+  run ();
+  check_budget "Step.step (per-instruction, full stack)" (minor_delta run)
 
 let test_pexec_run_alloc () =
   let image = loop_image () in
@@ -56,10 +63,10 @@ let test_pexec_run_alloc () =
   let delta = minor_delta (fun () -> Pf_arm.Pexec.run p st) in
   check_budget "Pexec.run (bare interpreter)" delta
 
-(* The compiled engine discovers and compiles blocks at run start —
+(* The block driver discovers and compiles blocks at run start —
    O(static) allocation, same bucket as predecode — after which the
    block-dispatch loop must be as allocation-free as the per-instruction
-   loops above.  A closure or tuple born per block execution (~34k block
+   path above.  A closure or tuple born per block execution (~34k block
    runs here) would blow the budget. *)
 let test_arm_compiled_alloc () =
   let image = loop_image () in
@@ -74,9 +81,11 @@ let test_fits_run_alloc () =
   let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
   let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
   let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  ignore (Pf_fits.Run.run tr);
-  let delta = minor_delta (fun () -> ignore (Pf_fits.Run.run tr)) in
-  check_budget "Fits.Run.run (predecoded, full stack)" delta
+  (* an [on_step] hook selects the per-instruction path *)
+  let run () = ignore (Pf_fits.Run.run ~on_step:(fun _ ~steps:_ -> ()) tr) in
+  run ();
+  check_budget "Fits.Run.run ~on_step (per-instruction, full stack)"
+    (minor_delta run)
 
 let test_fits_compiled_alloc () =
   let image = loop_image () in

@@ -1,12 +1,16 @@
-(* Three-way engine differential: the predecoded AND the block-compiled
-   engines must produce *bit-identical* results to the reference
-   interpreter — cycles, IPC, toggles (via power switching energy), miss
-   classification, power report and program output — on every benchmark,
-   for both the ARM and FITS streams and both cache geometries.  16 KB
-   runs execute all three engines directly; the 8 KB data points replay
-   each engine's own recorded trace (the harness's own structure), so a
-   divergence in anything the trace captures — including the compiled
-   engine's block-granular recording — shows up there too. *)
+(* Three-way engine differential: both paths of the compiled engine must
+   produce *bit-identical* results to the reference interpreter — cycles,
+   IPC, toggles (via power switching energy), miss classification, power
+   report and program output — on every benchmark, for both the ARM and
+   FITS streams and both cache geometries.  The two paths ("pre" and
+   "cmp" in the test names) are the per-instruction [Step.step] loop —
+   what the multicore machine and the FITS [on_step] hook (fault
+   injection) run, here with a no-op hook on the FITS side — and the
+   block driver [Step.run] behind [Arm_run.run] / [Fits.Run.run].  16 KB
+   runs execute all three directly; the 8 KB data points replay each
+   one's own recorded trace (the harness's own structure), so a
+   divergence in anything the trace captures — including the block
+   driver's block-granular recording — shows up there too. *)
 
 module R = Pf_mibench.Registry
 module AR = Pf_cpu.Arm_run
@@ -34,6 +38,33 @@ let pp_fits (r : FR.result) =
     r.FR.power.Pf_power.Account.switching r.FR.power.Pf_power.Account.total
     r.FR.power.Pf_power.Account.peak_power (String.length r.FR.output)
 
+(* [Arm_run.run]'s result, from the same core driven by [Step.step]
+   alone. *)
+let arm_per_step ?cache ?(cache_cfg = cache_16k) ?max_steps ?trace image =
+  let core = Pf_cpu.Step.of_image ?cache ~cache_cfg ?max_steps ?trace image in
+  while not (Pf_cpu.Step.halted core) do
+    Pf_cpu.Step.step core
+  done;
+  let r = Pf_cpu.Step.result core in
+  {
+    AR.instructions = r.Pf_cpu.Step.instructions;
+    cycles = r.Pf_cpu.Step.cycles;
+    ipc = r.Pf_cpu.Step.ipc;
+    fetch_accesses = r.Pf_cpu.Step.fetch_accesses;
+    output = r.Pf_cpu.Step.output;
+    cache_accesses = r.Pf_cpu.Step.cache_accesses;
+    cache_misses = r.Pf_cpu.Step.cache_misses;
+    miss_rate_per_million = r.Pf_cpu.Step.miss_rate_per_million;
+    dcache_miss_rate_pm = r.Pf_cpu.Step.dcache_miss_rate_pm;
+    power = r.Pf_cpu.Step.power;
+  }
+
+(* [Fits.Run.run] with a no-op [on_step] hook takes the per-instruction
+   path. *)
+let fits_per_step ?cache ?max_steps ?trace tr =
+  FR.run ?cache ~cache_cfg:cache_16k ?max_steps ?trace
+    ~on_step:(fun _ ~steps:_ -> ()) tr
+
 let check_arm what ~oracle a b =
   if a <> b then
     Alcotest.failf "%s: engines diverge\n  %s: %s\n  candidate: %s" what
@@ -55,15 +86,15 @@ let translate_benchmark (b : R.benchmark) =
 let test_benchmark (b : R.benchmark) () =
   let name = b.R.name in
   let image, tr = translate_benchmark b in
-  (* ARM stream: direct 16 KB runs under all three engines, replayed 8 KB
-     runs from each engine's own recording *)
+  (* ARM stream: direct 16 KB runs on all three paths, replayed 8 KB runs
+     from each one's own recording *)
   let tr_ref = Pf_cpu.Trace.create ~isize:4 () in
   let tr_pre = Pf_cpu.Trace.create ~isize:4 () in
   let tr_cmp = Pf_cpu.Trace.create ~isize:4 () in
   let a_ref =
     AR.run ~engine:AR.Reference ~cache_cfg:cache_16k ~trace:tr_ref image
   in
-  let a_pre = AR.run ~cache_cfg:cache_16k ~trace:tr_pre image in
+  let a_pre = arm_per_step ~trace:tr_pre image in
   let a_cmp =
     AR.run ~engine:AR.Compiled ~cache_cfg:cache_16k ~trace:tr_cmp image
   in
@@ -87,7 +118,7 @@ let test_benchmark (b : R.benchmark) () =
   let f_ref =
     FR.run ~engine:FR.Reference ~cache_cfg:cache_16k ~trace:ft_ref tr
   in
-  let f_pre = FR.run ~cache_cfg:cache_16k ~trace:ft_pre tr in
+  let f_pre = fits_per_step ~trace:ft_pre tr in
   let f_cmp =
     FR.run ~engine:FR.Compiled ~cache_cfg:cache_16k ~trace:ft_cmp tr
   in
@@ -101,39 +132,67 @@ let test_benchmark (b : R.benchmark) () =
 
 (* Miss classification goes through the shadow-LRU path that the plain
    runs skip: compare compulsory/capacity/conflict on a subset, for all
-   three engines. *)
+   three paths, each with a pre-built classifying I-cache. *)
 let test_classification () =
   let subset = List.filteri (fun i _ -> i mod 7 = 0) R.all in
   List.iter
     (fun (b : R.benchmark) ->
       let image, tr = translate_benchmark b in
-      let classes engine =
+      let classes run =
         let cache = C.create ~classify:true cache_16k in
-        ignore (AR.run ~engine ~cache ~cache_cfg:cache_16k image);
+        run cache;
         (C.stats_compulsory cache, C.stats_capacity cache,
          C.stats_conflict cache)
       in
-      let fclasses engine =
-        let cache = C.create ~classify:true cache_16k in
-        ignore (FR.run ~engine ~cache ~cache_cfg:cache_16k tr);
-        (C.stats_compulsory cache, C.stats_capacity cache,
-         C.stats_conflict cache)
+      let arm engine cache =
+        ignore (AR.run ~engine ~cache ~cache_cfg:cache_16k image)
       in
-      let ref_c = classes AR.Reference in
+      let fits engine cache =
+        ignore (FR.run ~engine ~cache ~cache_cfg:cache_16k tr)
+      in
+      let ref_c = classes (arm AR.Reference) in
       Alcotest.(check (triple int int int))
         (b.R.name ^ ": arm miss classes pre")
-        ref_c (classes AR.Predecoded);
+        ref_c
+        (classes (fun cache -> ignore (arm_per_step ~cache image)));
       Alcotest.(check (triple int int int))
         (b.R.name ^ ": arm miss classes cmp")
-        ref_c (classes AR.Compiled);
-      let fref_c = fclasses FR.Reference in
+        ref_c (classes (arm AR.Compiled));
+      let fref_c = classes (fits FR.Reference) in
       Alcotest.(check (triple int int int))
         (b.R.name ^ ": fits miss classes pre")
-        fref_c (fclasses FR.Predecoded);
+        fref_c
+        (classes (fun cache -> ignore (fits_per_step ~cache tr)));
       Alcotest.(check (triple int int int))
         (b.R.name ^ ": fits miss classes cmp")
-        fref_c (fclasses FR.Compiled))
+        fref_c (classes (fits FR.Compiled)))
     subset
+
+(* A jump out of the code that lands exactly on an exhausted step budget:
+   every path checks the watchdog before the fetch, as the reference
+   interpreter does, so all three raise [Watchdog_timeout]. *)
+let test_watchdog_before_fetch_fault () =
+  let imm v = Option.get (Pf_arm.Insn.encode_imm_operand v) in
+  let image =
+    Pf_arm.Image.make ~entry:0x8000
+      [| Pf_arm.Encode.encode
+           (Pf_arm.Insn.Dp
+              { cond = Pf_arm.Insn.AL; op = Pf_arm.Insn.MOV; s = false;
+                rd = 15; rn = 0; op2 = imm 0x100000 }) |]
+  in
+  let kind run =
+    match run () with
+    | _ -> "no error"
+    | exception Pf_util.Sim_error.Error e ->
+        Pf_util.Sim_error.kind_name e.Pf_util.Sim_error.kind
+  in
+  let expected = "watchdog-timeout" in
+  Alcotest.(check string) "ref" expected
+    (kind (fun () -> AR.run ~engine:AR.Reference ~max_steps:1 image));
+  Alcotest.(check string) "pre" expected
+    (kind (fun () -> arm_per_step ~max_steps:1 image));
+  Alcotest.(check string) "cmp" expected
+    (kind (fun () -> AR.run ~engine:AR.Compiled ~max_steps:1 image))
 
 let tests =
   List.map
@@ -143,4 +202,6 @@ let tests =
         `Quick (test_benchmark b))
     R.all
   @ [ Alcotest.test_case "miss classification ref=pre=cmp" `Quick
-        test_classification ]
+        test_classification;
+      Alcotest.test_case "watchdog before fetch fault ref=pre=cmp" `Quick
+        test_watchdog_before_fetch_fault ]

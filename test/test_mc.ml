@@ -174,56 +174,74 @@ let run_single_core core =
   Mc.run m;
   Step.result (Mc.core m 0)
 
+(* A single-core machine (the per-instruction [Step.step] path) must match
+   both sequential engines field by field: the reference oracle and the
+   block driver. *)
+let engines = [ ("reference", Pf_cpu.Arm_run.Reference);
+                ("compiled", Pf_cpu.Arm_run.Compiled) ]
+
 let test_arm_bit_identity () =
   let image = build "crc32" in
-  let seq = Pf_cpu.Arm_run.run ~engine:Predecoded image in
   let mc = run_single_core (Mc.arm_core image) in
-  Alcotest.(check int) "instructions" seq.Pf_cpu.Arm_run.instructions
-    mc.Step.instructions;
-  Alcotest.(check int) "cycles" seq.Pf_cpu.Arm_run.cycles mc.Step.cycles;
-  Alcotest.(check int64) "ipc" (fbits seq.Pf_cpu.Arm_run.ipc)
-    (fbits mc.Step.ipc);
-  Alcotest.(check int) "fetch accesses" seq.Pf_cpu.Arm_run.fetch_accesses
-    mc.Step.fetch_accesses;
-  Alcotest.(check string) "output" seq.Pf_cpu.Arm_run.output mc.Step.output;
-  Alcotest.(check int) "cache accesses" seq.Pf_cpu.Arm_run.cache_accesses
-    mc.Step.cache_accesses;
-  Alcotest.(check int) "cache misses" seq.Pf_cpu.Arm_run.cache_misses
-    mc.Step.cache_misses;
-  Alcotest.(check int64) "miss rate"
-    (fbits seq.Pf_cpu.Arm_run.miss_rate_per_million)
-    (fbits mc.Step.miss_rate_per_million);
-  Alcotest.(check int64) "dcache miss rate"
-    (fbits seq.Pf_cpu.Arm_run.dcache_miss_rate_pm)
-    (fbits mc.Step.dcache_miss_rate_pm);
-  check_power "arm" seq.Pf_cpu.Arm_run.power mc.Step.power
+  List.iter
+    (fun (e, engine) ->
+      let seq = Pf_cpu.Arm_run.run ~engine image in
+      let name what = e ^ ": " ^ what in
+      Alcotest.(check int) (name "instructions")
+        seq.Pf_cpu.Arm_run.instructions mc.Step.instructions;
+      Alcotest.(check int) (name "cycles") seq.Pf_cpu.Arm_run.cycles
+        mc.Step.cycles;
+      Alcotest.(check int64) (name "ipc") (fbits seq.Pf_cpu.Arm_run.ipc)
+        (fbits mc.Step.ipc);
+      Alcotest.(check int) (name "fetch accesses")
+        seq.Pf_cpu.Arm_run.fetch_accesses mc.Step.fetch_accesses;
+      Alcotest.(check string) (name "output") seq.Pf_cpu.Arm_run.output
+        mc.Step.output;
+      Alcotest.(check int) (name "cache accesses")
+        seq.Pf_cpu.Arm_run.cache_accesses mc.Step.cache_accesses;
+      Alcotest.(check int) (name "cache misses")
+        seq.Pf_cpu.Arm_run.cache_misses mc.Step.cache_misses;
+      Alcotest.(check int64) (name "miss rate")
+        (fbits seq.Pf_cpu.Arm_run.miss_rate_per_million)
+        (fbits mc.Step.miss_rate_per_million);
+      Alcotest.(check int64) (name "dcache miss rate")
+        (fbits seq.Pf_cpu.Arm_run.dcache_miss_rate_pm)
+        (fbits mc.Step.dcache_miss_rate_pm);
+      check_power (name "arm") seq.Pf_cpu.Arm_run.power mc.Step.power)
+    engines
 
 let test_fits_bit_identity () =
   let image = build "crc32" in
   let dyn_counts, _ = Pf_fits.Synthesis.dyn_counts_of_run image in
   let syn = Pf_fits.Synthesis.synthesize image ~dyn_counts in
   let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
-  let seq = Pf_fits.Run.run ~engine:Predecoded tr in
   (* fits_core re-runs the same deterministic synthesis pipeline *)
   let mc = run_single_core (Mc.fits_core image) in
-  Alcotest.(check int) "fits instructions" seq.Pf_fits.Run.fits_instructions
-    mc.Step.instructions;
-  Alcotest.(check int) "arm instructions" seq.Pf_fits.Run.arm_instructions
-    mc.Step.src_instructions;
-  Alcotest.(check int) "cycles" seq.Pf_fits.Run.cycles mc.Step.cycles;
-  Alcotest.(check int64) "ipc" (fbits seq.Pf_fits.Run.ipc)
-    (fbits mc.Step.ipc);
-  Alcotest.(check int) "fetch accesses" seq.Pf_fits.Run.fetch_accesses
-    mc.Step.fetch_accesses;
-  Alcotest.(check string) "output" seq.Pf_fits.Run.output mc.Step.output;
-  Alcotest.(check int) "cache accesses" seq.Pf_fits.Run.cache_accesses
-    mc.Step.cache_accesses;
-  Alcotest.(check int) "cache misses" seq.Pf_fits.Run.cache_misses
-    mc.Step.cache_misses;
-  Alcotest.(check int64) "miss rate"
-    (fbits seq.Pf_fits.Run.miss_rate_per_million)
-    (fbits mc.Step.miss_rate_per_million);
-  check_power "fits" seq.Pf_fits.Run.power mc.Step.power
+  List.iter
+    (fun (e, engine) ->
+      let seq = Pf_fits.Run.run ~engine tr in
+      let name what = e ^ ": " ^ what in
+      Alcotest.(check int) (name "fits instructions")
+        seq.Pf_fits.Run.fits_instructions mc.Step.instructions;
+      Alcotest.(check int) (name "arm instructions")
+        seq.Pf_fits.Run.arm_instructions mc.Step.src_instructions;
+      Alcotest.(check int) (name "cycles") seq.Pf_fits.Run.cycles
+        mc.Step.cycles;
+      Alcotest.(check int64) (name "ipc") (fbits seq.Pf_fits.Run.ipc)
+        (fbits mc.Step.ipc);
+      Alcotest.(check int) (name "fetch accesses")
+        seq.Pf_fits.Run.fetch_accesses mc.Step.fetch_accesses;
+      Alcotest.(check string) (name "output") seq.Pf_fits.Run.output
+        mc.Step.output;
+      Alcotest.(check int) (name "cache accesses")
+        seq.Pf_fits.Run.cache_accesses mc.Step.cache_accesses;
+      Alcotest.(check int) (name "cache misses")
+        seq.Pf_fits.Run.cache_misses mc.Step.cache_misses;
+      Alcotest.(check int64) (name "miss rate")
+        (fbits seq.Pf_fits.Run.miss_rate_per_million)
+        (fbits mc.Step.miss_rate_per_million);
+      check_power (name "fits") seq.Pf_fits.Run.power mc.Step.power)
+    engines
 
 (* ---- litmus sweep (the acceptance criterion) --------------------------- *)
 

@@ -249,17 +249,35 @@ let prop_spec_wellformed =
       && Array.length spec.Pf_fits.Spec.dict <= Pf_fits.Spec.dict_capacity)
 
 (* The execution-engine invariant under adversarial inputs: every random
-   program run by all three engines must produce the SAME result record —
-   instructions, cycles, every power float — and a step cutoff landing
-   anywhere (including mid basic block) must stop each engine at exactly
-   the same retired instruction: identical structured error, identical
-   recorded trace prefix.  This is what licenses defaulting harness,
-   bench and CLI to the compiled engine. *)
-let engines =
+   program run three ways — the reference oracle, the compiled engine's
+   per-instruction path ([Step.step]: the multicore machine, and the FITS
+   runner under an [on_step] hook) and its block driver ([Step.run]) —
+   must produce the SAME result record — instructions, cycles, every
+   power float — and a step cutoff landing anywhere (including mid basic
+   block) must stop each at exactly the same retired instruction:
+   identical structured error, identical recorded trace prefix.  This is
+   what licenses defaulting harness, bench and CLI to the compiled
+   engine. *)
+let arm_paths =
   [
-    Pf_cpu.Arm_run.Reference;
-    Pf_cpu.Arm_run.Predecoded;
-    Pf_cpu.Arm_run.Compiled;
+    (fun ~max_steps ~trace image ->
+      Pf_cpu.Arm_run.run ~engine:Pf_cpu.Arm_run.Reference ~max_steps ?trace
+        image);
+    (fun ~max_steps ~trace image ->
+      Test_differential.arm_per_step ~max_steps ?trace image);
+    (fun ~max_steps ~trace image ->
+      Pf_cpu.Arm_run.run ~engine:Pf_cpu.Arm_run.Compiled ~max_steps ?trace
+        image);
+  ]
+
+let fits_paths =
+  [
+    (fun ~max_steps ~trace tr ->
+      Pf_fits.Run.run ~engine:Pf_fits.Run.Reference ~max_steps ?trace tr);
+    (fun ~max_steps ~trace tr ->
+      Test_differential.fits_per_step ~max_steps ?trace tr);
+    (fun ~max_steps ~trace tr ->
+      Pf_fits.Run.run ~engine:Pf_fits.Run.Compiled ~max_steps ?trace tr);
   ]
 
 let trace_sig t =
@@ -286,8 +304,8 @@ let prop_engines_agree =
       let image = Pf_armgen.Compile.program p in
       let arm_full =
         List.map
-          (fun e -> Pf_cpu.Arm_run.run ~engine:e ~max_steps:20_000_000 image)
-          engines
+          (fun run -> run ~max_steps:20_000_000 ~trace:None image)
+          arm_paths
       in
       check_all_equal "ARM full-run result" arm_full;
       (* a budget strictly inside the run: every engine must trip the
@@ -296,12 +314,11 @@ let prop_engines_agree =
         let total = (List.hd arm_full).Pf_cpu.Arm_run.instructions in
         let cut = 1 + (salt mod max 1 (total - 1)) in
         List.map
-          (fun e ->
+          (fun run ->
             let trace = Pf_cpu.Trace.create ~isize:4 () in
             let out =
               Pf_util.Sim_error.protect ~where:"test" (fun () ->
-                  ignore
-                    (Pf_cpu.Arm_run.run ~engine:e ~max_steps:cut ~trace image))
+                  ignore (run ~max_steps:cut ~trace:(Some trace) image))
             in
             (match out with
             | Error e when e.Pf_util.Sim_error.kind
@@ -314,7 +331,7 @@ let prop_engines_agree =
                   "ARM cutoff at %d of %d did not trip" cut total);
             ( (match out with Error e -> e.Pf_util.Sim_error.detail | Ok () -> ""),
               trace_sig trace ))
-          engines
+          arm_paths
       in
       check_all_equal "ARM cutoff (error, trace prefix)" arm_cut;
       (* same invariant on the FITS side, through synthesis + translation *)
@@ -325,19 +342,19 @@ let prop_engines_agree =
       let tr = Pf_fits.Translate.translate syn.Pf_fits.Synthesis.spec image in
       let fits_full =
         List.map
-          (fun e -> Pf_fits.Run.run ~engine:e ~max_steps:20_000_000 tr)
-          engines
+          (fun run -> run ~max_steps:20_000_000 ~trace:None tr)
+          fits_paths
       in
       check_all_equal "FITS full-run result" fits_full;
       let fits_cut =
         let total = (List.hd fits_full).Pf_fits.Run.fits_instructions in
         let cut = 1 + (salt mod max 1 (total - 1)) in
         List.map
-          (fun e ->
+          (fun run ->
             let trace = Pf_cpu.Trace.create ~isize:2 () in
             let out =
               Pf_util.Sim_error.protect ~where:"test" (fun () ->
-                  ignore (Pf_fits.Run.run ~engine:e ~max_steps:cut ~trace tr))
+                  ignore (run ~max_steps:cut ~trace:(Some trace) tr))
             in
             (match out with
             | Error e when e.Pf_util.Sim_error.kind
@@ -350,7 +367,7 @@ let prop_engines_agree =
                   "FITS cutoff at %d of %d did not trip" cut total);
             ( (match out with Error e -> e.Pf_util.Sim_error.detail | Ok () -> ""),
               trace_sig trace ))
-          engines
+          fits_paths
       in
       check_all_equal "FITS cutoff (error, trace prefix)" fits_cut;
       true)

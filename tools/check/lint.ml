@@ -21,9 +21,10 @@
    optional arguments, float stores into mixed records), not of any
    greppable source pattern.  The guard for it is behavioural —
    test/test_alloc.ml measures [Gc.minor_words] deltas over ~100k-step
-   runs of the ARM and FITS predecoded engines and fails if a per-step
-   allocation creeps back in.  Keep that test in sync when adding fields
-   to the hot structs in lib/arm/pexec.ml or lib/cpu/pipeline.ml. *)
+   runs of the one fast engine, both its paths ([Step.step] and the block
+   driver [Step.run]) on both ISAs, and fails if a per-step allocation
+   creeps back in.  Keep that test in sync when adding fields to the hot
+   structs in lib/arm/pexec.ml, lib/cpu/step.ml or lib/cpu/pipeline.ml. *)
 
 let allowlist : (string * string) list =
   [ (* currently empty: lib/ is fully converted to Sim_error *) ]

@@ -11,6 +11,14 @@ let rec contains_call = function
   | Unop (_, a) -> contains_call a
   | Call _ -> true
 
+(* Calls are hoisted before this is asked, so only loads remain. *)
+let rec contains_load = function
+  | Int _ | Var _ | Global_addr _ -> false
+  | Load _ -> true
+  | Binop (_, a, b) | Cmp (_, a, b) -> contains_load a || contains_load b
+  | Unop (_, a) -> contains_load a
+  | Call (_, args) -> List.exists contains_load args
+
 type ctx = { mutable fresh : int }
 
 let fresh_var ctx =
@@ -25,10 +33,12 @@ let rec rw_expr ctx emit ~top e =
   | Int _ | Var _ | Global_addr _ -> e
   | Load l -> Load { l with addr = rw_expr ctx emit ~top:false l.addr }
   | Binop (op, a, b) ->
-      Binop (op, rw_expr ctx emit ~top:false a, rw_expr ctx emit ~top:false b)
+      let a, b = rw_pair ctx emit a b in
+      Binop (op, a, b)
   | Unop (op, a) -> Unop (op, rw_expr ctx emit ~top:false a)
   | Cmp (op, a, b) ->
-      Cmp (op, rw_expr ctx emit ~top:false a, rw_expr ctx emit ~top:false b)
+      let a, b = rw_pair ctx emit a b in
+      Cmp (op, a, b)
   | Call (f, args) ->
       let args =
         List.map
@@ -50,6 +60,21 @@ let rec rw_expr ctx emit ~top e =
         Var t
       end
 
+(* Rewrite two operands evaluated left to right.  [b]'s calls are hoisted
+   ahead of the statement; a load left in place in [a] would then read
+   memory after their stores, so [a] is hoisted into a temp first. *)
+and rw_pair ctx emit a b =
+  let a = rw_expr ctx emit ~top:false a in
+  let a =
+    if contains_call b && contains_load a then begin
+      let t = fresh_var ctx in
+      emit (Let (t, a));
+      Var t
+    end
+    else a
+  in
+  (a, rw_expr ctx emit ~top:false b)
+
 let rw_top ctx emit e = rw_expr ctx emit ~top:true e
 let rw_sub ctx emit e = rw_expr ctx emit ~top:false e
 
@@ -61,8 +86,7 @@ let rec rw_stmt ctx s =
   | Let (x, e) -> finish (Let (x, rw_top ctx emit e))
   | Assign (x, e) -> finish (Assign (x, rw_top ctx emit e))
   | Store { scale; addr; value } ->
-      let addr = rw_sub ctx emit addr in
-      let value = rw_sub ctx emit value in
+      let addr, value = rw_pair ctx emit addr value in
       finish (Store { scale; addr; value })
   | If (c, t, e) ->
       let c = rw_sub ctx emit c in
@@ -80,8 +104,7 @@ let rec rw_stmt ctx s =
       end
       else finish (While (c, body))
   | For (x, lo, hi, body) ->
-      let lo = rw_sub ctx emit lo in
-      let hi = rw_sub ctx emit hi in
+      let lo, hi = rw_pair ctx emit lo hi in
       let hi =
         if is_simple hi then hi
         else begin

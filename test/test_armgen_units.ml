@@ -189,6 +189,51 @@ let test_oversized_global_invalid_config () =
         (Pf_util.Sim_error.kind_name e.Pf_util.Sim_error.kind);
       Alcotest.(check string) "where" "armgen.link" e.Pf_util.Sim_error.where
 
+(* ---- evaluation order ---- *)
+
+(* Operands evaluate left to right — binary operands, a store's address
+   before its value, a for loop's lower bound before its upper bound.
+   Call normalization hoists a call out of the right operand ahead of the
+   statement, so a load in the left operand must be hoisted before it —
+   or it reads memory after the call's stores. *)
+let test_load_before_call () =
+  let g0 = idx32 "g" (i 0) in
+  let p =
+    program
+      [ garray_init "g" Pf_kir.Ast.W32 [| 5 |];
+        garray "h" Pf_kir.Ast.W32 2 ]
+      [
+        func "f" [] [ setidx32 "g" (i 0) (i 100); ret (i 1) ];
+        func "f2" [] [ setidx32 "g" (i 0) (i 0); ret (i 50) ];
+        func "f3" [] [ setidx32 "g" (i 0) (i 1); ret (i 9) ];
+        func "f4" [] [ setidx32 "g" (i 0) (i 0); ret (i 3) ];
+        func "main" []
+          [
+            print_int (g0 +% call "f" []);
+            print_int (g0 <% call "f2" []);
+            setidx32 "h" g0 (call "f3" []);
+            print_int (idx32 "h" (i 0));
+            for_ "k" g0 (call "f4" []) [ print_int (v "k") ];
+          ];
+      ]
+  in
+  let expected = (Pf_kir.Eval.run p).Pf_kir.Eval.output in
+  Alcotest.(check string) "evaluator" "6\n0\n9\n1\n2\n" expected;
+  Alcotest.(check string) "compiled" expected
+    (Pf_armgen.Compile.run (compile p))
+
+(* The generated program that exposed the miscompile. *)
+let test_generated_load_before_call () =
+  let p =
+    Pf_workgen.Generate.program
+      ~model:(Pf_workgen.Calibrate.reference ())
+      ~seed:136688 ~index:936
+  in
+  let expected = (Pf_kir.Eval.run ~max_steps:50_000_000 p).Pf_kir.Eval.output in
+  Alcotest.(check string) "evaluator" "2620\n" expected;
+  Alcotest.(check string) "compiled" expected
+    (Pf_armgen.Compile.run ~max_steps:50_000_000 (compile p))
+
 let tests =
   [
     Alcotest.test_case "pool dedup" `Quick test_pool_dedup;
@@ -205,4 +250,8 @@ let tests =
       test_runtime_division_linked_once;
     Alcotest.test_case "oversized global is Invalid_config" `Quick
       test_oversized_global_invalid_config;
+    Alcotest.test_case "evaluation order: load before call" `Quick
+      test_load_before_call;
+    Alcotest.test_case "evaluation order: generated program" `Quick
+      test_generated_load_before_call;
   ]

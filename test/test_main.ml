@@ -10,6 +10,7 @@ let () =
       ("cache", Test_cache.tests);
       ("power", Test_power.tests);
       ("pipeline", Test_pipeline.tests);
+      ("model-pin", Test_model_pin.tests);
       ("translate", Test_translate.tests);
       ("thumb", Test_thumb.tests);
       ("mibench", Test_mibench.tests);

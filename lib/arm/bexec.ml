@@ -20,7 +20,7 @@
                 (unchanged) pipeline event;
      [sh_dp]    unconditional DP-family op that cannot write the pc —
                 executed by [Pexec.exec_dp_nr] (no cond test, no outcome
-                resets), issued via the pipeline's Alu fast slot;
+                resets), charged within its block's ALU run;
      [sh_gen]   anything else that does not end the block (conditional
                 ops, memory, mul, push/pop) — full [Pexec.exec] + issue;
      [sh_term]  the block terminator — full execution, and the dynamic

@@ -25,7 +25,8 @@ val sh_nop : int
 
 val sh_dp : int
 (** Unconditional non-pc-writing DP op: execute with
-    {!Pexec.exec_dp_nr}, issue via [Pipeline.issue_alu]. *)
+    {!Pexec.exec_dp_nr}, charged as part of a batched ALU run
+    ([Pipeline.issue_events]). *)
 
 val sh_gen : int
 (** General non-terminating op: full {!Pexec.exec} + full issue; control

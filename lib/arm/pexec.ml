@@ -41,7 +41,7 @@ let k_jalr = 12        (* FITS return-branch micro-op *)
 let k_undef = 13
 let code_undef = k_undef
 
-(* Pipeline class codes; same numbering as [Pf_cpu.Trace.cls_code]. *)
+(* Pipeline class codes; same numbering as [Pf_cpu.Pipeline.cls_code]. *)
 let cls_alu = 0
 let cls_mul = 1
 let cls_load = 2

@@ -37,7 +37,7 @@ type uop = private {
   lr_val : int;             (** return address stored by BL / JALR *)
   align : int;              (** pc alignment mask, [lnot (isize - 1)] *)
   src_pc : int;
-  cls : int;                (** pipeline class, {!Pf_cpu.Trace.cls_code} numbering *)
+  cls : int;                (** pipeline class, {!Pf_cpu.Pipeline.cls_code} numbering *)
   reads : int;              (** source-register mask ({!Insn.read_mask}) *)
   writes : int;             (** destination-register mask *)
   backward : bool;          (** backward branch (static prediction) *)

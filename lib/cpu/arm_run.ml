@@ -14,24 +14,15 @@ module Meta = struct
   let write_mask = A.write_mask
 end
 
-type meta = {
-  cls : Pipeline.insn_class;
-  reads : int;
-  writes : int;
-  backward : bool;   (* direct backward branch, for the static predictor *)
-}
-
+(* static meta word per code slot; [backward] marks a direct backward
+   branch, for the static predictor *)
 let build_meta (image : Pf_arm.Image.t) =
   Array.map
-    (function
-      | Some i ->
-          Some
-            { cls = Meta.classify i;
-              reads = Meta.read_mask i;
-              writes = Meta.write_mask i;
-              backward =
-                (match i with A.B { offset; _ } -> offset < 0 | _ -> false) }
-      | None -> None)
+    (Option.map (fun i ->
+         Pipeline.static_meta
+           ~cls_code:(Pipeline.cls_code (Meta.classify i))
+           ~backward:(match i with A.B { offset; _ } -> offset < 0 | _ -> false)
+           ~reads:(Meta.read_mask i) ~writes:(Meta.write_mask i)))
     image.Pf_arm.Image.insns
 
 type engine = Reference | Compiled
@@ -63,16 +54,15 @@ let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
   let dcache = Pf_cache.Icache.create dcache_cfg in
   let geometry = Pf_power.Geometry.of_config cache_cfg in
   let account = Pf_power.Account.create ?params:power_params geometry in
-  let fetch_data addr = Pf_arm.Image.word_at image addr in
+  let code_base = image.Pf_arm.Image.code_base in
   let pipe =
-    Pipeline.create ?config:pipeline_cfg ~dcache ~cache ~account ~fetch_data
-      ()
+    Pipeline.create ?config:pipeline_cfg ~cache ~account
+      ~words:image.Pf_arm.Image.words ~code_base ~isize:4 ()
   in
   let st = Pf_arm.Exec.create image in
   let metas = build_meta image in
-  let code_base = image.Pf_arm.Image.code_base in
   Pf_arm.Exec.run ?max_steps ?deadline st ~on_step:(fun _ ~pc insn o ->
-      let m =
+      let static =
         match metas.((pc - code_base) lsr 2) with
         | Some m -> m
         | None ->
@@ -80,18 +70,13 @@ let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
               ~where:"cpu.arm_run" "no metadata for pc 0x%x" pc
       in
       ignore insn;
-      let taken = o.Pf_arm.Exec.branch_taken in
-      let mem_addr = o.Pf_arm.Exec.mem_addr in
-      let mem_words = o.Pf_arm.Exec.mem_words in
-      Pipeline.issue pipe ~backward:m.backward ~mem_addr ~dmisses:(-1)
-        ~addr:pc ~size:4 ~cls:m.cls ~reads:m.reads ~writes:m.writes ~taken
-        ~mem_words;
+      let meta =
+        Trace.live_meta dcache ~static ~taken:o.Pf_arm.Exec.branch_taken
+          ~mem_addr:o.Pf_arm.Exec.mem_addr ~mem_words:o.Pf_arm.Exec.mem_words
+      in
+      Pipeline.issue pipe ~addr:pc ~meta;
       match trace with
-      | Some t ->
-          Trace.record t ~addr:pc ~cls:m.cls ~reads:m.reads ~writes:m.writes
-            ~taken ~backward:m.backward
-            ~dmisses:(Pipeline.last_dcache_misses pipe)
-            ~mem_words
+      | Some t -> Trace.record_packed t ~addr:pc ~meta
       | None -> ());
   (match trace with
   | Some t ->
@@ -140,12 +125,8 @@ let run ?(engine = Compiled) ?cache ?(cache_cfg = Step.default_cache_cfg)
 let replay ?pipeline_cfg ?power_params ?classify ~cache_cfg ~output
     (image : Pf_arm.Image.t) trace =
   let s =
-    Trace.replay ?pipeline_cfg ?power_params ?classify
-      ~seq:
-        ( Pipeline.seq_toggle_prefix ~words:image.Pf_arm.Image.words,
-          image.Pf_arm.Image.code_base lsr 2 )
-      ~cache_cfg
-      ~fetch_data:(fun addr -> Pf_arm.Image.word_at image addr)
+    Trace.replay ?pipeline_cfg ?power_params ?classify ~cache_cfg
+      ~words:image.Pf_arm.Image.words ~code_base:image.Pf_arm.Image.code_base
       trace
   in
   {

@@ -62,8 +62,9 @@ val replay :
   result
 (** Re-run a recorded trace through a fresh cache/pipeline/power stack of
     a (typically different) geometry.  Produces bit-identical statistics
-    to a direct {!run} of the same image with [cache_cfg]: the pipeline
-    sees the same [issue] sequence either way.  [output] is the program
+    to a direct {!run} of the same image with [cache_cfg]: the recorded
+    events are the very words the live run charged, and replay charges
+    them through the same pipeline body.  [output] is the program
     output captured by the recording run (replay does not execute). *)
 
 (** Per-instruction metadata used by the timing model; exposed for the FITS

@@ -1,22 +1,18 @@
 (* Compiled-block layer of the block driver ([Step.run], both ISAs): pairs each
-   lazily built Bexec block with the per-instruction static trace metas
-   (Trace packing lives up here — lib/arm cannot depend on lib/cpu).  The
-   metas double as the packed event stream: [pairs] interleaves each
+   lazily built Bexec block with its packed events (event packing lives up
+   here — lib/arm cannot depend on lib/cpu).  [pairs] interleaves each
    instruction's fetch address with its static meta word, which is
-   exactly the span layout [Pipeline.issue_alu_span] consumes and the
-   table layout [Trace.register_pairs] aliases — so a fused ALU run
-   costs one span call and one two-int block-granular trace event
-   instead of per-instruction issue and packing. *)
+   exactly the layout [Pipeline.issue_events] consumes and
+   [Trace.register_pairs] aliases — so a fused ALU run costs one
+   [issue_events] call and one two-int block-granular trace event instead
+   of per-instruction issue and packing. *)
 
 type cblock = {
   bb : Pf_arm.Bexec.block;
-  metas : int array;
-      (* static_meta per instruction, from the ORIGINAL uop: identical
-         class/masks/direction whether or not the executed form was
-         flag-elided *)
   pairs : int array;
-      (* (addr, static meta) per instruction: the packed ALU-event span /
-         registered-table source for straight-line stretches *)
+      (* (addr, static meta) per instruction, the meta from the ORIGINAL
+         uop: identical class/masks/direction whether or not the executed
+         form was flag-elided *)
   mutable tid : int;
       (* [Trace.register_pairs] id of [pairs] in the run's trace, -1
          until first recorded (a Cexec.t serves exactly one run, hence at
@@ -35,22 +31,18 @@ let create ~isize ~code_base bx =
 
 let build t s =
   let bb = Pf_arm.Bexec.block_at t.bx s in
-  let metas =
-    Array.map
-      (fun (u : Pf_arm.Pexec.uop) ->
-        Trace.static_meta ~cls_code:u.Pf_arm.Pexec.cls
-          ~backward:u.Pf_arm.Pexec.backward ~reads:u.Pf_arm.Pexec.reads
-          ~writes:u.Pf_arm.Pexec.writes)
-      bb.Pf_arm.Bexec.orig
-  in
   let len = bb.Pf_arm.Bexec.len in
   let start = t.code_base + (s * t.isize) in
   let pairs = Array.make (2 * len) 0 in
-  for i = 0 to len - 1 do
-    pairs.(2 * i) <- start + (i * t.isize);
-    pairs.((2 * i) + 1) <- metas.(i)
-  done;
-  { bb; metas; pairs; tid = -1 }
+  Array.iteri
+    (fun i (u : Pf_arm.Pexec.uop) ->
+      pairs.(2 * i) <- start + (i * t.isize);
+      pairs.((2 * i) + 1) <-
+        Pipeline.static_meta ~cls_code:u.Pf_arm.Pexec.cls
+          ~backward:u.Pf_arm.Pexec.backward ~reads:u.Pf_arm.Pexec.reads
+          ~writes:u.Pf_arm.Pexec.writes)
+    bb.Pf_arm.Bexec.orig;
+  { bb; pairs; tid = -1 }
 
 let block_at t s =
   match Array.unsafe_get t.cblocks s with

@@ -1,22 +1,20 @@
 (** Compiled-block tables for the [Compiled] engine: each
-    {!Pf_arm.Bexec.block} paired with precomputed per-instruction
-    {!Trace.static_meta} words and the packed (addr, meta) event pairs
-    those imply, so recording drivers emit block-granular trace events
-    ({!Trace.record_span} into the registered [pairs] table) and dispatch
-    fused ALU runs as single {!Pipeline.issue_alu_span} calls.  Lazily
-    built, like the underlying block table. *)
+    {!Pf_arm.Bexec.block} paired with its precomputed packed (addr,
+    static meta) events, so recording drivers emit block-granular trace
+    events ({!Trace.record_span} into the registered [pairs] table) and
+    charge fused ALU runs as single {!Pipeline.issue_events} calls.
+    Lazily built, like the underlying block table. *)
 
 type cblock = {
   bb : Pf_arm.Bexec.block;
-  metas : int array;
-      (** [Trace.static_meta] of each instruction (original micro-op
-          metadata); index-aligned with [bb.xuops]/[bb.shapes] *)
   pairs : int array;
       (** [2 * len] ints: slot [2i] the fetch address of instruction [i]
           (a block-compile-time constant — blocks are straight-line),
-          slot [2i+1] = [metas.(i)].  Exactly the event layout
-          {!Pipeline.issue_alu_span} consumes and {!Trace.register_pairs}
-          aliases for the span of instructions \[i, i+n). *)
+          slot [2i+1] its {!Pipeline.static_meta} (original micro-op
+          metadata), index-aligned with [bb.xuops]/[bb.shapes].  Exactly
+          the event layout {!Pipeline.issue_events} consumes and
+          {!Trace.register_pairs} aliases for the span of instructions
+          \[i, i+n). *)
   mutable tid : int;
       (** {!Trace.register_pairs} id of [pairs] in the run's trace; -1
           until the block first records *)

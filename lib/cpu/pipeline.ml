@@ -25,68 +25,6 @@ let sa1100 =
     predictor = Btfn;
   }
 
-type t = {
-  cfg : config;
-  cache : Pf_cache.Icache.t;
-  dcache : Pf_cache.Icache.t option;
-  account : Pf_power.Account.t;
-  fetch_data : int -> int;
-  mutable cycles : int;
-  mutable instrs : int;
-  mutable fetches : int;
-  mutable last_fetch_addr : int;       (* aligned word address, -1 = none *)
-  mutable last_fetch_line : int;       (* I-cache line of that word, -1 = none *)
-  mutable pair_slot_free : bool;       (* current cycle can take a 2nd insn *)
-  mutable slot_writes : int;           (* writes of the 1st insn this cycle *)
-  mutable slot_mem : bool;
-  mutable prev_load_writes : int;      (* writes of the last load *)
-  mutable last_dmisses : int;          (* D-cache misses of the last issue *)
-  (* scratch accumulators for the span kernels; zero outside a span call.
-     They live on [t] rather than in locals so the kernels allocate
-     nothing: without flambda, a [ref] captured by a flush closure is a
-     heap cell, and at the measured 1.5-2.7 events per ALU span that
-     allocation dominated the per-event savings. *)
-  mutable sp_acc : int;
-  mutable sp_tog : int;
-  mutable sp_ref : int;
-  mutable sp_cyc : int;
-  mutable sp_ins : int;
-  mutable sp_room : int;
-  mutable sp_i : int;
-}
-
-let create ?(config = sa1100) ?dcache ~cache ~account ~fetch_data () =
-  {
-    cfg = config;
-    cache;
-    dcache;
-    account;
-    fetch_data;
-    cycles = 0;
-    instrs = 0;
-    fetches = 0;
-    last_fetch_addr = -1;
-    last_fetch_line = -1;
-    pair_slot_free = false;
-    slot_writes = 0;
-    slot_mem = false;
-    prev_load_writes = 0;
-    last_dmisses = 0;
-    sp_acc = 0;
-    sp_tog = 0;
-    sp_ref = 0;
-    sp_cyc = 0;
-    sp_ins = 0;
-    sp_room = 0;
-    sp_i = 0;
-  }
-
-let spend t n =
-  if n > 0 then begin
-    t.cycles <- t.cycles + n;
-    Pf_power.Account.on_cycles t.account n
-  end
-
 (* The back-end penalty arithmetic is exposed as pure functions of the
    config and the (geometry-invariant) event fields: the all-geometry
    sweep kernel (Pf_dse.Sweep) recomputes per-window cycle counts from
@@ -106,6 +44,119 @@ let[@inline] extra_cycles cfg ~cls ~taken ~backward ~mem_words =
   + (if mem_words > 1 then (mem_words - 1) * cfg.ldm_word_extra else 0)
   + if mispredicted cfg ~cls ~taken ~backward then cfg.branch_penalty else 0
 
+(* Packed events: two ints per retirement.
+
+     addr: fetch pc
+     meta: cls(3) | taken(1) | backward(1) | mem_words(6) | reads(17)
+           | writes(17) | dmisses(6)
+
+   Register masks are 17 bits wide: r0-r14 plus the over-provisioned FITS
+   scratch register (index 16).  [dmisses] is the D-cache miss count the
+   live run observed: the data side is identical in every configuration,
+   so a replay charges the recorded stalls unchanged.  Live engines,
+   traces, replays and the DSE sweep all read this one layout. *)
+
+let cls_code = function
+  | Alu -> 0
+  | Mul -> 1
+  | Load -> 2
+  | Store -> 3
+  | Branch -> 4
+  | System -> 5
+
+let cls_of_code = function
+  | 0 -> Alu
+  | 1 -> Mul
+  | 2 -> Load
+  | 3 -> Store
+  | 4 -> Branch
+  | _ -> System
+
+let[@inline] static_meta ~cls_code ~backward ~reads ~writes =
+  cls_code
+  lor (Bool.to_int backward lsl 4)
+  lor (reads lsl 11)
+  lor (writes lsl 28)
+
+let[@inline] dynamic_meta ~taken ~mem_words ~dmisses =
+  (Bool.to_int taken lsl 3) lor (mem_words lsl 5) lor (dmisses lsl 45)
+
+let[@inline] meta_cls_code m = m land 0x7
+let[@inline] meta_taken m = m land 0x8 <> 0
+let[@inline] meta_backward m = m land 0x10 <> 0
+let[@inline] meta_mem_words m = (m lsr 5) land 0x3F
+let[@inline] meta_reads m = (m lsr 11) land 0x1FFFF
+let[@inline] meta_writes m = (m lsr 28) land 0x1FFFF
+let[@inline] meta_dmisses m = (m lsr 45) land 0x3F
+
+(* Class Alu, not taken, forward, no memory words, no D-cache misses: an
+   event that can never stall past its fetch, redirect or feed a
+   load-use bubble. *)
+let alu_mask = 0x7FF lor (0x3F lsl 45)
+
+type t = {
+  cfg : config;
+  cache : Pf_cache.Icache.t;
+  account : Pf_power.Account.t;
+  words : int array;        (* code words, what the fetch bus drives *)
+  code_base : int;
+  isize : int;
+  seq_tog : int array;
+      (* output-bus toggle prefix of [words]: entry [w] is the Hamming
+         sum of the transitions words.(0) -> ... -> words.(w), so a
+         sequential fetch of words (a, b] toggles [b] minus [a] *)
+  lmask : int;              (* I-cache line bytes - 1 *)
+  mutable cycles : int;
+  mutable instrs : int;
+  mutable fetches : int;
+  mutable last_fetch_addr : int;       (* aligned word address, -1 = none *)
+  mutable last_fetch_line : int;       (* I-cache line of that word, -1 = none *)
+  mutable pair_slot_free : bool;       (* current cycle can take a 2nd insn *)
+  mutable slot_writes : int;           (* writes of the 1st insn this cycle *)
+  mutable slot_mem : bool;
+  mutable prev_load_writes : int;      (* writes of the last load *)
+  (* the open accounting batch, handed to [Account.on_block] by [flush];
+     zero between calls.  Fields rather than locals so the loops capture
+     nothing and allocate nothing. *)
+  mutable b_acc : int;
+  mutable b_tog : int;
+  mutable b_ref : int;
+  mutable b_cyc : int;
+  mutable b_ins : int;
+}
+
+let create ?(config = sa1100) ~cache ~account ~words ~code_base ~isize () =
+  let n = Array.length words in
+  let seq_tog = Array.make (max n 1) 0 in
+  for w = 1 to n - 1 do
+    seq_tog.(w) <-
+      seq_tog.(w - 1) + Pf_util.Bits.hamming words.(w - 1) words.(w)
+  done;
+  {
+    cfg = config;
+    cache;
+    account;
+    words;
+    code_base;
+    isize;
+    seq_tog;
+    lmask = Pf_cache.Icache.block_bytes cache - 1;
+    cycles = 0;
+    instrs = 0;
+    fetches = 0;
+    last_fetch_addr = -1;
+    last_fetch_line = -1;
+    pair_slot_free = false;
+    slot_writes = 0;
+    slot_mem = false;
+    prev_load_writes = 0;
+    b_acc = 0;
+    b_tog = 0;
+    b_ref = 0;
+    b_cyc = 0;
+    b_ins = 0;
+  }
+
 (* One I-cache access for the word at [word_addr], returning the miss
    stall.  Sequential code stays on one cache line for many fetches; when
    the previous fetch touched the same line the access is routed through
@@ -115,8 +166,8 @@ let[@inline] extra_cycles cfg ~cls ~taken ~backward ~mem_words =
    redirect invalidates the fetch-buffer word, but the line it fetched
    from is still the cache's most recent access, so a branch targeting the
    same line (tight loops) keeps the fast path. *)
-let[@inline] fetch_word t word_addr =
-  let data = t.fetch_data word_addr in
+let fetch t word_addr =
+  let data = t.words.((word_addr - t.code_base) lsr 2) in
   let line = Pf_cache.Icache.line_of_addr t.cache ~addr:word_addr in
   let r =
     if line = t.last_fetch_line then
@@ -124,337 +175,169 @@ let[@inline] fetch_word t word_addr =
     else Pf_cache.Icache.access_fast t.cache ~addr:word_addr ~data
   in
   t.last_fetch_line <- line;
-  Pf_power.Account.on_access t.account ~toggles:(r lsr 16)
-    ~refilled_words:((r lsr 1) land 0x7FFF);
-  t.fetches <- t.fetches + 1;
   t.last_fetch_addr <- word_addr;
+  t.fetches <- t.fetches + 1;
+  t.b_acc <- t.b_acc + 1;
+  t.b_tog <- t.b_tog + (r lsr 16);
+  t.b_ref <- t.b_ref + ((r lsr 1) land 0x7FFF);
   if r land 1 = 0 then t.cfg.miss_penalty else 0
 
-(* Count misses of a [words]-word D-cache walk starting at [base].
-   Top-level and fully applied so the per-word loop carries its counter in
-   a register instead of a heap-allocated [ref]. *)
-let rec dcache_walk d base w words acc =
-  if w >= words then acc
-  else
-    let hit =
-      Pf_cache.Icache.access_count d ~addr:((base + (4 * w)) land lnot 3)
-    in
-    dcache_walk d base (w + 1) words (if hit then acc else acc + 1)
-
-let issue t ~backward ~mem_addr ~dmisses ~addr ~size ~cls ~reads ~writes
-    ~taken ~mem_words =
-  t.instrs <- t.instrs + 1;
+(* The charging body: one retirement into the open batch. *)
+let charge t addr meta =
+  let cfg = t.cfg in
   (* fetch: one I-cache access per new 32-bit word *)
   let word_addr = addr land lnot 3 in
   let fetch_stall =
-    if word_addr <> t.last_fetch_addr || not t.cfg.fetch_buffer then
-      fetch_word t word_addr
+    if word_addr <> t.last_fetch_addr || not cfg.fetch_buffer then
+      fetch t word_addr
     else 0
   in
-  ignore size;
+  let cls = cls_of_code (meta_cls_code meta) in
   (* NB: class tests are pattern matches, not [=] — polymorphic equality
-     on a variant is an out-of-line [caml_equal] call, and issue runs once
-     per dynamic instruction *)
+     on a variant is an out-of-line [caml_equal] call *)
   let is_mem = match cls with Load | Store -> true | _ -> false in
   let is_branch = match cls with Branch -> true | _ -> false in
-  let is_mul = match cls with Mul -> true | _ -> false in
-  let is_load = match cls with Load -> true | _ -> false in
+  let reads = meta_reads meta and writes = meta_writes meta in
   (* data side: the D-cache is identical in every configuration (S5: only
-     the I-cache varies); misses stall like instruction refills.  A replay
-     passes the recorded miss count via [dmisses] instead of re-simulating
-     the D-cache — same stream, same misses, by construction. *)
-  let dm =
-    if dmisses >= 0 then dmisses
-    else
-      match t.dcache with
-      | Some d when is_mem && mem_addr >= 0 -> dcache_walk d mem_addr 0 mem_words 0
-      | Some _ | None -> 0
-  in
-  t.last_dmisses <- dm;
+     the I-cache varies); its misses stall like instruction refills *)
+  let dm = meta_dmisses meta in
   let stall =
-    if dm > 0 then fetch_stall + (dm * t.cfg.miss_penalty) else fetch_stall
+    if dm > 0 then fetch_stall + (dm * cfg.miss_penalty) else fetch_stall
   in
   (* load-use bubble against the previous instruction *)
   let bubble =
-    if t.prev_load_writes land reads <> 0 then t.cfg.load_use_bubble else 0
+    if t.prev_load_writes land reads <> 0 then cfg.load_use_bubble else 0
   in
-  let can_pair =
-    t.cfg.dual_issue && t.pair_slot_free && stall = 0 && bubble = 0
+  if
+    cfg.dual_issue && t.pair_slot_free && stall = 0 && bubble = 0
     && reads land t.slot_writes = 0
     && (not (is_mem && t.slot_mem))
     && not is_branch
-  in
-  if can_pair then begin
+  then begin
     (* issues in the already-open cycle *)
     t.pair_slot_free <- false;
-    spend t stall
+    t.b_cyc <- t.b_cyc + stall
   end
   else begin
-    spend t (1 + stall + bubble);
-    t.pair_slot_free <- t.cfg.dual_issue && (not is_branch) && not is_mul;
+    t.b_cyc <- t.b_cyc + 1 + stall + bubble;
+    t.pair_slot_free <-
+      cfg.dual_issue && (not is_branch)
+      && (match cls with Mul -> false | _ -> true);
     t.slot_writes <- writes;
     t.slot_mem <- is_mem
   end;
   (* back-end penalties close the pairing window *)
-  let extra = extra_cycles t.cfg ~cls ~taken ~backward ~mem_words in
+  let taken = meta_taken meta in
+  let extra =
+    extra_cycles cfg ~cls ~taken ~backward:(meta_backward meta)
+      ~mem_words:(meta_mem_words meta)
+  in
   if extra > 0 then begin
-    spend t extra;
+    t.b_cyc <- t.b_cyc + extra;
     t.pair_slot_free <- false
   end;
   if taken then
     (* redirect: the fetch buffer does not survive a taken branch *)
     t.last_fetch_addr <- -1;
-  t.prev_load_writes <- (if is_load then writes else 0);
-  Pf_power.Account.on_retire t.account
+  t.prev_load_writes <- (match cls with Load -> writes | _ -> 0);
+  t.b_ins <- t.b_ins + 1
 
-(* [issue] specialized to the dominant event shape: a non-memory,
-   non-branch Alu instruction with no D-cache misses ([cls = Alu],
-   [taken = backward = false], [mem_words = 0], [dmisses = 0],
-   [mem_addr = -1]).  Every branch of [issue] is resolved under those
-   constants — no mul/ldm/branch extras, no redirect, no D-cache walk —
-   leaving the fetch gate, the load-use bubble and the pairing state
-   machine.  The block-compiled engine and the trace replayer route
-   eligible events here; cycle-for-cycle identity with [issue] is asserted
-   by the three-way differential tests. *)
-let issue_alu t ~addr ~size ~reads ~writes =
-  t.instrs <- t.instrs + 1;
-  let word_addr = addr land lnot 3 in
-  let stall =
-    if word_addr <> t.last_fetch_addr || not t.cfg.fetch_buffer then
-      fetch_word t word_addr
-    else 0
-  in
-  ignore size;
-  t.last_dmisses <- 0;
-  let bubble =
-    if t.prev_load_writes land reads <> 0 then t.cfg.load_use_bubble else 0
-  in
-  if
-    t.cfg.dual_issue && t.pair_slot_free && stall = 0 && bubble = 0
-    && reads land t.slot_writes = 0
-  then t.pair_slot_free <- false
-  else begin
-    spend t (1 + stall + bubble);
-    t.pair_slot_free <- t.cfg.dual_issue;
-    t.slot_writes <- writes;
-    t.slot_mem <- false
-  end;
-  t.prev_load_writes <- 0;
-  Pf_power.Account.on_retire t.account
+let flush t =
+  Pf_power.Account.on_block t.account ~accesses:t.b_acc ~toggles:t.b_tog
+    ~refilled_words:t.b_ref ~cycles:t.b_cyc ~insns:t.b_ins;
+  t.cycles <- t.cycles + t.b_cyc;
+  t.instrs <- t.instrs + t.b_ins;
+  t.b_acc <- 0;
+  t.b_tog <- 0;
+  t.b_ref <- 0;
+  t.b_cyc <- 0;
+  t.b_ins <- 0
 
-(* Span-batched [issue_alu]: [n] consecutive ALU-shaped events packed two
-   ints each into [ev] at [pos] — slot 0 the fetch address, slot 1 a meta
-   word whose bits 11-27 are the read mask and bits 28-44 the write mask
-   (the [Trace] packed-event layout with every dynamic field zero; the two
-   modules share the layout within this library).  Equivalent to calling
-   [issue_alu] once per event, but the pipeline/pairing state lives in
-   locals for the whole span and the power accounting is flushed in
-   peak-window-sized batches ([Account.on_block]) instead of three calls
-   per instruction.  Cache counters stay exact per access — every fetch
-   still goes through [Icache.access_seq]/[access_fast] — so miss stalls,
-   toggle streams and the shadow LRU are untouched.  The trace replayer
-   and the block-compiled engines feed their ALU runs through here; the
-   three-way differential and replay-equivalence tests pin the
-   bit-identity. *)
-let flush_span t =
-  Pf_power.Account.on_block t.account ~accesses:t.sp_acc ~toggles:t.sp_tog
-    ~refilled_words:t.sp_ref ~cycles:t.sp_cyc ~insns:t.sp_ins;
-  t.cycles <- t.cycles + t.sp_cyc;
-  t.sp_acc <- 0;
-  t.sp_tog <- 0;
-  t.sp_ref <- 0;
-  t.sp_cyc <- 0;
-  t.sp_ins <- 0;
-  t.sp_room <- Pf_power.Account.window_room t.account
+let issue t ~addr ~meta =
+  charge t addr meta;
+  flush t
 
-let issue_alu_span t ~ev ~pos ~n =
+(* A slice of events: each one through [charge], except that after any
+   retirement leaving the fetch buffer valid ([last_fetch_addr] not
+   cleared by a redirect) and no load-use hazard open, the run of
+   sequential ALU-shaped events still inside the just-fetched cache line
+   takes the line-batched tail.  Those events are guaranteed way-0 hits
+   with zero stall and zero bubble, so their fetches collapse into one
+   [Icache.access_seq_run] whose output-bus toggles come from [seq_tog],
+   and only the pairing state runs per event.  Batches close at
+   peak-window boundaries ([Account.window_room]), so every power window
+   closes on the same retirement with the same sums as one [issue] per
+   event.  Without the fetch buffer every event re-reads the cache, and
+   pending tag flips read the cache's access counter, so both take
+   [charge] for every event. *)
+let issue_events t ~ev ~pos ~n =
   let cfg = t.cfg in
   let dual = cfg.dual_issue in
-  let gate = cfg.fetch_buffer in
-  t.sp_room <- Pf_power.Account.window_room t.account;
-  for k = 0 to n - 1 do
-    let i = pos + (2 * k) in
-    let addr = Array.unsafe_get ev i in
-    let meta = Array.unsafe_get ev (i + 1) in
-    let word_addr = addr land lnot 3 in
-    let stall =
-      if word_addr <> t.last_fetch_addr || not gate then begin
-        let data = t.fetch_data word_addr in
-        let line = Pf_cache.Icache.line_of_addr t.cache ~addr:word_addr in
-        let r =
-          if line = t.last_fetch_line then
-            Pf_cache.Icache.access_seq t.cache ~addr:word_addr ~data
-          else Pf_cache.Icache.access_fast t.cache ~addr:word_addr ~data
-        in
-        t.last_fetch_line <- line;
-        t.last_fetch_addr <- word_addr;
-        t.fetches <- t.fetches + 1;
-        t.sp_acc <- t.sp_acc + 1;
-        t.sp_tog <- t.sp_tog + (r lsr 16);
-        t.sp_ref <- t.sp_ref + ((r lsr 1) land 0x7FFF);
-        if r land 1 = 0 then cfg.miss_penalty else 0
-      end
-      else 0
-    in
-    let reads = (meta lsr 11) land 0x1FFFF in
-    let bubble =
-      if t.prev_load_writes land reads <> 0 then cfg.load_use_bubble else 0
-    in
-    if
-      dual && t.pair_slot_free && stall = 0 && bubble = 0
-      && reads land t.slot_writes = 0
-    then t.pair_slot_free <- false
-    else begin
-      t.sp_cyc <- t.sp_cyc + 1 + stall + bubble;
-      t.pair_slot_free <- dual;
-      t.slot_writes <- (meta lsr 28) land 0x1FFFF;
-      t.slot_mem <- false
+  let batch =
+    cfg.fetch_buffer && not (Pf_cache.Icache.has_pending_flips t.cache)
+  in
+  let isize = t.isize and wbase = t.code_base lsr 2 in
+  let room = ref (Pf_power.Account.window_room t.account) in
+  let i = ref 0 in
+  while !i < n do
+    let p = pos + (2 * !i) in
+    let addr = Array.unsafe_get ev p in
+    charge t addr (Array.unsafe_get ev (p + 1));
+    incr i;
+    if t.b_ins = !room then begin
+      flush t;
+      room := Pf_power.Account.window_room t.account
     end;
-    t.prev_load_writes <- 0;
-    t.sp_ins <- t.sp_ins + 1;
-    if t.sp_ins = t.sp_room then flush_span t
-  done;
-  if t.sp_ins > 0 then flush_span t;
-  t.instrs <- t.instrs + n;
-  if n > 0 then t.last_dmisses <- 0
-
-(* Per-word output-bus toggle prefix over a code segment: [st.(w)] is the
-   Hamming sum of transitions words.(0)->words.(1)->...->words.(w), so a
-   sequential fetch of words (a, b] charges [st.(b) - st.(a)].  The first
-   word of any run is excluded — its toggle depends on whatever the bus
-   last carried and is charged at runtime. *)
-let seq_toggle_prefix ~words =
-  let n = Array.length words in
-  let st = Array.make (max n 1) 0 in
-  for w = 1 to n - 1 do
-    st.(w) <- st.(w - 1) + Pf_util.Bits.hamming words.(w - 1) words.(w)
-  done;
-  st
-
-(* Line-batched [issue_alu_span] for spans whose fetch addresses are
-   STRICTLY SEQUENTIAL (each event [size] bytes after the previous — true
-   of any straight-line run of retirements, which is exactly what an ALU
-   span is).  The first access of every cache line runs through the real
-   per-access path (misses, refills, index toggles, shadow LRU all exact);
-   the remaining words of that line are then guaranteed way-0 hits with
-   zero index toggles and an unchanged recency front, so they collapse
-   into one [Icache.access_seq_run] whose output-bus toggle sum comes from
-   the precomputed prefix [seq_tog] ([seq_toggle_prefix] of the code
-   words, index-based at [wbase] = code_base/4).  Batches are additionally
-   cut at peak-window boundaries so every power window closes on exactly
-   the same retirement, with exactly the same window sums, as the
-   per-access path.  Falls back to the per-event span when the fetch
-   buffer is disabled (every instruction re-accesses the cache) or tag
-   flips are pending (their due times read the access counter). *)
-let issue_alu_seq_span t ~ev ~pos ~n ~size ~seq_tog ~wbase =
-  if (not t.cfg.fetch_buffer) || Pf_cache.Icache.has_pending_flips t.cache
-  then issue_alu_span t ~ev ~pos ~n
-  else begin
-    let cfg = t.cfg in
-    let dual = cfg.dual_issue in
-    let lmask = Pf_cache.Icache.block_bytes t.cache - 1 in
-    t.sp_room <- Pf_power.Account.window_room t.account;
-    t.sp_i <- 0;
-    while t.sp_i < n do
-      (* head event: may fetch (line-crossing, miss-capable) or reuse the
-         fetch buffer; runs the exact per-access path *)
-      let p = pos + (2 * t.sp_i) in
-      let addr = Array.unsafe_get ev p in
-      let meta = Array.unsafe_get ev (p + 1) in
-      let word_addr = addr land lnot 3 in
-      let stall =
-        if word_addr <> t.last_fetch_addr then begin
-          let data = t.fetch_data word_addr in
-          let line = Pf_cache.Icache.line_of_addr t.cache ~addr:word_addr in
-          let r =
-            if line = t.last_fetch_line then
-              Pf_cache.Icache.access_seq t.cache ~addr:word_addr ~data
-            else Pf_cache.Icache.access_fast t.cache ~addr:word_addr ~data
+    if batch && t.last_fetch_addr >= 0 && t.prev_load_writes = 0 then begin
+      let line_end = t.last_fetch_addr lor t.lmask in
+      let cap = min (n - !i) (!room - t.b_ins) in
+      let k = ref 0 and expect = ref (addr + isize) in
+      while
+        !k < cap && !expect <= line_end
+        && Array.unsafe_get ev (p + 2 + (2 * !k)) = !expect
+        && Array.unsafe_get ev (p + 3 + (2 * !k)) land alu_mask = 0
+      do
+        let m = Array.unsafe_get ev (p + 3 + (2 * !k)) in
+        let reads = meta_reads m in
+        if dual && t.pair_slot_free && reads land t.slot_writes = 0 then
+          t.pair_slot_free <- false
+        else begin
+          t.b_cyc <- t.b_cyc + 1;
+          t.pair_slot_free <- dual;
+          t.slot_writes <- meta_writes m;
+          t.slot_mem <- false
+        end;
+        incr k;
+        expect := !expect + isize
+      done;
+      if !k > 0 then begin
+        let last = (!expect - isize) land lnot 3 in
+        let wprev = t.last_fetch_addr lsr 2 and wlast = last lsr 2 in
+        let nacc = wlast - wprev in
+        if nacc > 0 then begin
+          let tog =
+            Array.unsafe_get t.seq_tog (wlast - wbase)
+            - Array.unsafe_get t.seq_tog (wprev - wbase)
           in
-          t.last_fetch_line <- line;
-          t.last_fetch_addr <- word_addr;
-          t.fetches <- t.fetches + 1;
-          t.sp_acc <- t.sp_acc + 1;
-          t.sp_tog <- t.sp_tog + (r lsr 16);
-          t.sp_ref <- t.sp_ref + ((r lsr 1) land 0x7FFF);
-          if r land 1 = 0 then cfg.miss_penalty else 0
-        end
-        else 0
-      in
-      let reads = (meta lsr 11) land 0x1FFFF in
-      let bubble =
-        if t.prev_load_writes land reads <> 0 then cfg.load_use_bubble
-        else 0
-      in
-      (if
-         dual && t.pair_slot_free && stall = 0 && bubble = 0
-         && reads land t.slot_writes = 0
-       then t.pair_slot_free <- false
-       else begin
-         t.sp_cyc <- t.sp_cyc + 1 + stall + bubble;
-         t.pair_slot_free <- dual;
-         t.slot_writes <- (meta lsr 28) land 0x1FFFF;
-         t.slot_mem <- false
-       end);
-      t.prev_load_writes <- 0;
-      t.sp_ins <- t.sp_ins + 1;
-      if t.sp_ins = t.sp_room then flush_span t;
-      t.sp_i <- t.sp_i + 1;
-      (* tail events within the head's (now resident, front-of-recency)
-         line: guaranteed hits, zero stall, zero bubble
-         ([prev_load_writes] is 0 past the head), capped by the open power
-         window; the line never changes so [last_fetch_line] stands *)
-      if t.sp_i < n then begin
-        let line_end = t.last_fetch_addr lor lmask in
-        let a1 = addr + size in
-        if a1 <= line_end then begin
-          let cnt =
-            min
-              (min (((line_end - a1) / size) + 1) (t.sp_room - t.sp_ins))
-              (n - t.sp_i)
-          in
-          let last = a1 + ((cnt - 1) * size) in
-          let wprev = t.last_fetch_addr lsr 2 in
-          let wlast = last lsr 2 in
-          let nacc = wlast - wprev in
-          if nacc > 0 then begin
-            let tog =
-              Array.unsafe_get seq_tog (wlast - wbase)
-              - Array.unsafe_get seq_tog (wprev - wbase)
-            in
-            Pf_cache.Icache.access_seq_run t.cache ~naccesses:nacc
-              ~toggles:tog ~last_out:(t.fetch_data (last land lnot 3));
-            t.fetches <- t.fetches + nacc;
-            t.sp_acc <- t.sp_acc + nacc;
-            t.sp_tog <- t.sp_tog + tog;
-            t.last_fetch_addr <- last land lnot 3
-          end;
-          let q0 = p + 3 in
-          for z = 0 to cnt - 1 do
-            let m = Array.unsafe_get ev (q0 + (2 * z)) in
-            let reads = (m lsr 11) land 0x1FFFF in
-            if dual && t.pair_slot_free && reads land t.slot_writes = 0 then
-              t.pair_slot_free <- false
-            else begin
-              t.sp_cyc <- t.sp_cyc + 1;
-              t.pair_slot_free <- dual;
-              t.slot_writes <- (m lsr 28) land 0x1FFFF;
-              t.slot_mem <- false
-            end
-          done;
-          t.sp_ins <- t.sp_ins + cnt;
-          if t.sp_ins = t.sp_room then flush_span t;
-          t.sp_i <- t.sp_i + cnt
+          Pf_cache.Icache.access_seq_run t.cache ~naccesses:nacc ~toggles:tog
+            ~last_out:(Array.unsafe_get t.words (wlast - wbase));
+          t.fetches <- t.fetches + nacc;
+          t.b_acc <- t.b_acc + nacc;
+          t.b_tog <- t.b_tog + tog;
+          t.last_fetch_addr <- last
+        end;
+        t.b_ins <- t.b_ins + !k;
+        i := !i + !k;
+        if t.b_ins = !room then begin
+          flush t;
+          room := Pf_power.Account.window_room t.account
         end
       end
-    done;
-    if t.sp_ins > 0 then flush_span t;
-    t.instrs <- t.instrs + n;
-    if n > 0 then t.last_dmisses <- 0
-  end
+    end
+  done;
+  if t.b_ins > 0 then flush t
 
 let cycles t = t.cycles
 let instructions t = t.instrs
-let last_dcache_misses t = t.last_dmisses
 let ipc t = if t.cycles = 0 then 0.0 else float_of_int t.instrs /. float_of_int t.cycles
 let fetch_accesses t = t.fetches

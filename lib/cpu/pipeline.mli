@@ -64,105 +64,76 @@ val extra_cycles :
     the issue slot itself.  Like {!mispredicted}, shared with trace-level
     evaluators. *)
 
+(** {2 Packed events}
+
+    One retirement is two ints: its fetch address and a meta word packing
+    class, branch bits, memory word count, register masks and the D-cache
+    misses the live run observed.  This module owns the layout: live
+    engines pack it, {!Trace} stores it unchanged, replays and the DSE
+    sweep read it back through the accessors below. *)
+
+val cls_code : insn_class -> int
+(** Stable numbering of instruction classes (Alu = 0 ... System = 5),
+    shared with {!Pf_arm.Pexec} micro-op metadata. *)
+
+val cls_of_code : int -> insn_class
+(** Inverse of {!cls_code}; out-of-range codes map to [System]. *)
+
+val static_meta :
+  cls_code:int -> backward:bool -> reads:int -> writes:int -> int
+(** The per-static-instruction part of a meta word: class, branch
+    direction and register masks, with the dynamic fields zero.
+    [reads]/[writes] are register bitmasks; [backward] marks a direct
+    backward branch (false otherwise) for the static predictor. *)
+
+val dynamic_meta : taken:bool -> mem_words:int -> dmisses:int -> int
+(** The per-retirement part: [taken] marks a taken branch, [mem_words]
+    the words a memory instruction transfers, [dmisses] the D-cache
+    misses they caused.  A full meta word is [static_meta ... lor
+    dynamic_meta ...]. *)
+
+val meta_cls_code : int -> int
+val meta_taken : int -> bool
+val meta_backward : int -> bool
+val meta_mem_words : int -> int
+val meta_reads : int -> int
+val meta_writes : int -> int
+val meta_dmisses : int -> int
+
+(** {2 Charging} *)
+
 type t
 
 val create :
   ?config:config ->
-  ?dcache:Pf_cache.Icache.t ->
   cache:Pf_cache.Icache.t ->
   account:Pf_power.Account.t ->
-  fetch_data:(int -> int) ->
+  words:int array ->
+  code_base:int ->
+  isize:int ->
   unit ->
   t
-(** [fetch_data addr] must return the 32-bit word stored at the aligned
-    code address [addr] (it is what the cache drives on its output bus).
-    [dcache] (optional) models the data side: every memory word moved
-    goes through it and misses stall for [miss_penalty]; it is held
-    constant across the paper's four configurations, so it affects
-    absolute cycle counts but no I-cache comparison. *)
+(** A pipeline fetching from the code segment [words] (32-bit words,
+    [words.(0)] at byte address [code_base]) — what the cache drives on
+    its output bus.  [isize] is 4 (ARM) or 2 (FITS): the distance between
+    sequential events.  The data side is not modelled here: events
+    arrive with their D-cache misses already in the meta word. *)
 
-val issue :
-  t ->
-  backward:bool ->
-  mem_addr:int ->
-  dmisses:int ->
-  addr:int ->
-  size:int ->
-  cls:insn_class ->
-  reads:int ->
-  writes:int ->
-  taken:bool ->
-  mem_words:int ->
-  unit
-(** Account one retired instruction.  [size] is 4 (ARM) or 2 (FITS);
-    [reads]/[writes] are register bitmasks; [taken] marks a taken branch;
-    [mem_words] the words a memory instruction transfers; [backward]
-    (direct branches only, false otherwise) feeds the static predictor.
-    [mem_addr] is the effective address, [-1] if none.  [dmisses >= 0]
-    bypasses the D-cache model and charges that many recorded miss
-    stalls instead — the trace-replay path, where the D-cache outcome is
-    already known to be identical; pass [-1] to simulate the D-cache.
-    All arguments are required: a [Some]-boxed optional would allocate on
-    every dynamic instruction. *)
+val issue : t -> addr:int -> meta:int -> unit
+(** Charge one retired instruction of any class. *)
 
-val issue_alu : t -> addr:int -> size:int -> reads:int -> writes:int -> unit
-(** {!issue} specialized to the dominant event: a plain Alu instruction —
-    [cls = Alu], [taken = backward = false], [mem_words = 0],
-    [mem_addr = -1], [dmisses = 0].  Behaviour is cycle-for-cycle and
-    counter-for-counter identical to calling {!issue} with those
-    constants; only the work of re-deriving them is gone.  Callers (the
-    block-compiled engine, the trace replayer's Alu fast path) must prove
-    the event has exactly this shape. *)
-
-val issue_alu_span : t -> ev:int array -> pos:int -> n:int -> unit
-(** Span-batched {!issue_alu}: [n] consecutive ALU-shaped events, packed
-    two ints each into [ev] starting at [pos] — slot 0 the fetch address,
-    slot 1 a meta word with the read mask in bits 11-27 and the write
-    mask in bits 28-44 and every other bit zero (the {!Trace} packed
-    event layout for an eligible event; {!Trace.static_meta} of an Alu
-    instruction produces exactly this).  Bit-identical to [n] separate
-    {!issue_alu} calls: fetches still hit the I-cache access-by-access
-    (miss stalls and toggle streams are exact), while the pairing state
-    runs in locals and the power accounting is applied in peak-window
-    bounded batches ({!Pf_power.Account.on_block}).  The trace replayer
-    and the block-compiled engines feed their ALU runs through here. *)
-
-val seq_toggle_prefix : words:int array -> int array
-(** Output-bus toggle prefix of a code segment: entry [w] is the Hamming
-    sum of the word transitions [words.(0) -> ... -> words.(w)], so a
-    sequential fetch of words [(a, b]] charges entry [b] minus entry [a].
-    Computed once per run/replay and fed to {!issue_alu_seq_span}. *)
-
-val issue_alu_seq_span :
-  t ->
-  ev:int array ->
-  pos:int ->
-  n:int ->
-  size:int ->
-  seq_tog:int array ->
-  wbase:int ->
-  unit
-(** {!issue_alu_span} specialized to spans whose fetch addresses are
-    strictly sequential — event [k] exactly [size] bytes after event
-    [k-1], the shape of every straight-line retirement run.  The first
-    access of each cache line takes the real per-access path (misses,
-    refills, index toggles and shadow LRU exact); the rest of the line's
-    words are guaranteed way-0 hits and collapse into one bulk cache
-    update whose output-bus toggles come from [seq_tog]
-    ({!seq_toggle_prefix} of the code words; [wbase] = code_base / 4
-    offsets addresses into it).  Batches are cut at peak-power-window
-    boundaries, so windows close on the same retirements with the same
-    sums as per-access accounting.  Bit-identical to {!issue_alu_span};
-    falls back to it when the fetch buffer is disabled or tag flips are
-    pending.  Callers must prove sequentiality — the drivers' block event
-    pairs are sequential by construction, and the trace replayer checks
-    addresses while scanning spans. *)
+val issue_events : t -> ev:int array -> pos:int -> n:int -> unit
+(** Charge [n] per-instruction events packed two ints each into [ev]
+    from [pos] — the layout {!Trace} stores.  Bit-identical to [n] {!issue} calls: the
+    same charging body runs per event, except that each maximal run of
+    sequential ALU events staying inside the just-fetched cache line is
+    charged as one bulk cache update with per-event pairing, and the
+    power accounting goes to {!Pf_power.Account.on_block} in
+    peak-window-bounded batches.  Runs are found here, not by callers;
+    they are not batched when the fetch buffer is disabled or tag flips
+    are pending. *)
 
 val cycles : t -> int
 val instructions : t -> int
 val ipc : t -> float
 val fetch_accesses : t -> int
-
-val last_dcache_misses : t -> int
-(** D-cache misses charged by the most recent {!issue} (what a recording
-    run stores in the trace). *)

@@ -9,13 +9,13 @@ module Err = Pf_util.Sim_error
 
    - [step] performs exactly one instruction — watchdog, deadline poll,
      fetch and decode faults, [Pexec.exec], [Pipeline.issue], optional
-     [Trace.record], FITS source-retirement bookkeeping.  A multicore
+     [Trace.record_packed], FITS source-retirement bookkeeping.  A multicore
      scheduler interleaves cores with it, and the FITS runner's [on_step]
      hook path loops it.
    - [run] is the block-compiled driver behind [Arm_run.run] and
      [Pf_fits.Run.run]: it dispatches once per basic block
      ([Cexec.block_at]), executes fused ALU runs and issues them as one
-     [Pipeline.issue_alu_seq_span], records block-granular trace events,
+     [Pipeline.issue_events], records block-granular trace events,
      and falls back to [step] itself for the halt transition, a fetch
      outside the code, a legality-fallback block, or whenever a budget
      exhaustion or a deadline poll would land inside the next block — so
@@ -24,7 +24,10 @@ module Err = Pf_util.Sim_error
 
    Both paths retire the identical event stream as the reference
    interpreters ([Exec.run], the FITS [Mapping.micro] loop); the
-   differential tests pin results, traces and faults bit for bit. *)
+   differential tests pin results, traces and faults bit for bit.
+   Outside fused ALU runs, a retirement builds its meta word once
+   ([Trace.live_meta]) and hands the same word to [Pipeline.issue] and,
+   when recording, to [Trace.record_packed]. *)
 
 type result = {
   instructions : int;
@@ -47,7 +50,6 @@ type t = {
   uops : Px.uop array;
   n : int;
   code_base : int;
-  words : int array;
   isize : int;
   ishift : int;             (* log2 isize: slot = offset lsr ishift *)
   align_mask : int;         (* ARM faults on a misaligned pc; FITS never has *)
@@ -109,10 +111,9 @@ let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
   let dcache = Pf_cache.Icache.create Trace.dcache_cfg in
   let geometry = Pf_power.Geometry.of_config cache_cfg in
   let account = Pf_power.Account.create ?params:power_params geometry in
-  let fetch_data addr = words.((addr - code_base) lsr 2) in
   let pipe =
-    Pipeline.create ?config:pipeline_cfg ~dcache ~cache ~account ~fetch_data
-      ()
+    Pipeline.create ?config:pipeline_cfg ~cache ~account ~words ~code_base
+      ~isize ()
   in
   let src_first, src_single =
     match src with
@@ -132,7 +133,6 @@ let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
     uops;
     n = Array.length uops;
     code_base;
-    words;
     isize;
     ishift = (if isize = 4 then 2 else 1);
     align_mask = (if isize = 4 then 3 else 0);
@@ -191,19 +191,18 @@ let step t =
       (* the ARM pc lives in r15; FITS leaves r15 untouched (r15 reads go
          through the precomputed [pc8]) *)
       if t.isize = 4 then st.E.regs.(15) <- o.E.next_pc;
-      let cls = Trace.cls_of_code u.Px.cls in
-      let taken = o.E.branch_taken in
-      let mem_words = o.E.mem_words in
-      Pipeline.issue t.pipe ~backward:u.Px.backward ~mem_addr:o.E.mem_addr
-        ~dmisses:(-1) ~addr:pc ~size:t.isize ~cls ~reads:u.Px.reads
-        ~writes:u.Px.writes ~taken ~mem_words;
+      let meta =
+        Trace.live_meta t.dcache
+          ~static:
+            (Pipeline.static_meta ~cls_code:u.Px.cls ~backward:u.Px.backward
+               ~reads:u.Px.reads ~writes:u.Px.writes)
+          ~taken:o.E.branch_taken ~mem_addr:o.E.mem_addr
+          ~mem_words:o.E.mem_words
+      in
+      Pipeline.issue t.pipe ~addr:pc ~meta;
       (match t.trace with
       | None -> ()
-      | Some tr ->
-          Trace.record tr ~addr:pc ~cls ~reads:u.Px.reads ~writes:u.Px.writes
-            ~taken ~backward:u.Px.backward
-            ~dmisses:(Pipeline.last_dcache_misses t.pipe)
-            ~mem_words);
+      | Some tr -> Trace.record_packed tr ~addr:pc ~meta);
       if Array.length t.src_first > 0 && t.src_first.(idx) then begin
         t.src_retired <- t.src_retired + 1;
         if t.src_single.(idx) then t.src_one <- t.src_one + 1
@@ -214,14 +213,13 @@ let step t =
 
 let run t =
   let st = t.st and o = t.o and pipe = t.pipe and trace = t.trace in
+  let dcache = t.dcache in
   let cb = t.code_base and n = t.n and isize = t.isize in
   let ishift = t.ishift and align_mask = t.align_mask in
   let max_steps = t.max_steps and dmask = E.deadline_mask in
   let regs = st.E.regs in
   let cx = Cexec.create ~isize ~code_base:cb (Pf_arm.Bexec.create t.uops) in
   let sh_dp = Pf_arm.Bexec.sh_dp in
-  let seq_tog = Pipeline.seq_toggle_prefix ~words:t.words in
-  let wbase = cb lsr 2 in
   (* per-block source-retirement sums (FITS), filled at first dispatch *)
   let src_first = t.src_first and src_single = t.src_single in
   let has_src = Array.length src_first > 0 in
@@ -259,8 +257,9 @@ let run t =
            issue as one span: execution never reads the pipeline and the
            span issue never reads architectural state, and neither a dead
            compare nor a straight-line DP op can fault, so the reordering
-           within a run is unobservable.  [pairs] holds the run's packed
-           (addr, meta) events, precomputed at block-compile time.  The
+           within a run is unobservable.  [pairs] holds the block's packed
+           (addr, static meta) events, precomputed at block-compile time;
+           an ALU run's static meta is its whole meta.  The
            trace is matched once per block: matching it per event
            measured ~11% slower on the suite (EXPERIMENTS.md). *)
         i := 0;
@@ -277,19 +276,19 @@ let run t =
                     Px.exec_dp_nr st o (Array.unsafe_get xu k)
                   else st.E.steps <- st.E.steps + 1
                 done;
-                Pipeline.issue_alu_seq_span pipe ~ev:pairs ~pos:(2 * !i)
-                  ~n:(!j - !i) ~size:isize ~seq_tog ~wbase;
+                Pipeline.issue_events pipe ~ev:pairs ~pos:(2 * !i)
+                  ~n:(!j - !i);
                 i := !j
               end
               else begin
-                let u = Array.unsafe_get xu !i in
-                Px.exec st o u;
-                Pipeline.issue pipe ~backward:u.Px.backward
-                  ~mem_addr:o.E.mem_addr ~dmisses:(-1)
-                  ~addr:(pc + (!i lsl ishift)) ~size:isize
-                  ~cls:(Trace.cls_of_code u.Px.cls) ~reads:u.Px.reads
-                  ~writes:u.Px.writes ~taken:o.E.branch_taken
-                  ~mem_words:o.E.mem_words;
+                Px.exec st o (Array.unsafe_get xu !i);
+                Pipeline.issue pipe
+                  ~addr:(Array.unsafe_get pairs (2 * !i))
+                  ~meta:
+                    (Trace.live_meta dcache
+                       ~static:(Array.unsafe_get pairs ((2 * !i) + 1))
+                       ~taken:o.E.branch_taken ~mem_addr:o.E.mem_addr
+                       ~mem_words:o.E.mem_words);
                 incr i
               end
             done
@@ -307,8 +306,8 @@ let run t =
                     Px.exec_dp_nr st o (Array.unsafe_get xu k)
                   else st.E.steps <- st.E.steps + 1
                 done;
-                Pipeline.issue_alu_seq_span pipe ~ev:pairs ~pos:(2 * !i)
-                  ~n:(!j - !i) ~size:isize ~seq_tog ~wbase;
+                Pipeline.issue_events pipe ~ev:pairs ~pos:(2 * !i)
+                  ~n:(!j - !i);
                 if cbk.Cexec.tid < 0 then
                   cbk.Cexec.tid <- Trace.register_pairs tr pairs;
                 Trace.record_span tr ~tid:cbk.Cexec.tid ~pos:(2 * !i)
@@ -316,20 +315,16 @@ let run t =
                 i := !j
               end
               else begin
-                let u = Array.unsafe_get xu !i in
-                let a = pc + (!i lsl ishift) in
-                Px.exec st o u;
-                let taken = o.E.branch_taken in
-                let mem_words = o.E.mem_words in
-                Pipeline.issue pipe ~backward:u.Px.backward
-                  ~mem_addr:o.E.mem_addr ~dmisses:(-1) ~addr:a ~size:isize
-                  ~cls:(Trace.cls_of_code u.Px.cls) ~reads:u.Px.reads
-                  ~writes:u.Px.writes ~taken ~mem_words;
-                Trace.record_packed tr ~addr:a
-                  ~meta:
-                    (Array.unsafe_get cbk.Cexec.metas !i
-                    lor Trace.dynamic_meta ~taken ~mem_words
-                          ~dmisses:(Pipeline.last_dcache_misses pipe));
+                let a = Array.unsafe_get pairs (2 * !i) in
+                Px.exec st o (Array.unsafe_get xu !i);
+                let meta =
+                  Trace.live_meta dcache
+                    ~static:(Array.unsafe_get pairs ((2 * !i) + 1))
+                    ~taken:o.E.branch_taken ~mem_addr:o.E.mem_addr
+                    ~mem_words:o.E.mem_words
+                in
+                Pipeline.issue pipe ~addr:a ~meta;
+                Trace.record_packed tr ~addr:a ~meta;
                 incr i
               end
             done);

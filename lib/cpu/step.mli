@@ -7,15 +7,18 @@
     driven two ways:
     - {!run} is the block-compiled driver behind [Arm_run.run] and
       [Pf_fits.Run.run] (their [Compiled] engine): one dispatch per basic
-      block, fused ALU runs issued as single spans, block-granular trace
-      events;
+      block, fused ALU runs charged by one {!Pipeline.issue_events} call,
+      block-granular trace events;
     - {!step} retires exactly one instruction.  A multicore scheduler
       ({!Pf_mc.Machine}) interleaves cores with it, and the FITS runner's
       [on_step] hook path loops it.
     {!run} executes {!step} itself whenever a watchdog exhaustion or a
     deadline poll (every [Exec.deadline_mask + 1] steps) would land inside
     the next block, so faults, polls and every statistic are identical
-    either way.  Both are pinned bit-identical to the [Reference] oracles
+    either way.  Every other retirement walks the core's D-cache and packs
+    its meta word once ({!Trace.live_meta}), then hands that same word to
+    {!Pipeline.issue} and, when recording, to {!Trace.record_packed}.
+    Both drivers are pinned bit-identical to the [Reference] oracles
     field by field, floats by their IEEE bits. *)
 
 type result = {
@@ -60,7 +63,7 @@ val create :
   Pf_arm.Exec.t ->
   t
 (** Build a core over an already-predecoded stream.  [isize] is 4 (ARM)
-    or 2 (FITS); [words] backs sequential-fetch toggle accounting and is
+    or 2 (FITS); [words] is the code segment the I-cache fetches from,
     indexed from [code_base] in 32-bit words.  [src], for FITS cores,
     gives per-slot (first-of-group, group-is-singleton) flags indexed
     like [uops] — they drive the source-instruction counts the FITS

@@ -11,15 +11,16 @@
     applies the same trace-once/replay-many structure to its cache design
     space sweep.
 
-    A trace stores exactly the arguments of each {!Pipeline.issue} call:
-    fetch address, instruction class, read/write register masks,
-    taken/backward branch bits, memory word count — plus the observed
-    D-cache miss count, so a replay charges the recorded data-side stalls
-    instead of re-simulating the (configuration-invariant) D-cache.
-    Storage is a chunked flat [int array] — two ints per retired
-    instruction, no per-event allocation — so recording costs a few stores
-    per instruction and a 10M-instruction trace takes ~160 MB at worst
-    and typically far less. *)
+    A trace stores exactly the events a live run hands {!Pipeline.issue}:
+    the fetch address and the packed meta word ({!Pipeline.static_meta}
+    [lor] {!Pipeline.dynamic_meta}), whose D-cache miss count lets a
+    replay charge the recorded data-side stalls instead of re-simulating
+    the (configuration-invariant) D-cache.  A replay feeds the stored
+    words to {!Pipeline.issue_events} unchanged.  Storage is a chunked
+    flat [int array] — two ints per retired instruction, no per-event
+    allocation — so recording costs a few stores per instruction and a
+    10M-instruction trace takes ~160 MB at worst and typically far
+    less. *)
 
 type t
 
@@ -32,44 +33,9 @@ val isize : t -> int
 val length : t -> int
 (** Retired instructions recorded so far. *)
 
-val cls_code : Pipeline.insn_class -> int
-(** Stable numbering of instruction classes (Alu = 0 ... System = 5) used
-    in packed trace events and by {!Pf_arm.Pexec} metadata. *)
-
-val cls_of_code : int -> Pipeline.insn_class
-(** Inverse of {!cls_code}; out-of-range codes map to [System]. *)
-
-val record :
-  t ->
-  addr:int ->
-  cls:Pipeline.insn_class ->
-  reads:int ->
-  writes:int ->
-  taken:bool ->
-  backward:bool ->
-  dmisses:int ->
-  mem_words:int ->
-  unit
-(** Append one event.  Arguments mirror {!Pipeline.issue}; [dmisses] is
-    the D-cache miss count the recording pipeline observed for this event
-    ({!Pipeline.last_dcache_misses}, recorded {e after} issuing). *)
-
-val static_meta :
-  cls_code:int -> backward:bool -> reads:int -> writes:int -> int
-(** The static (per-static-instruction constant) part of a packed meta
-    word: class, branch direction and register masks, with the dynamic
-    fields (taken, mem_words, dmisses) zero.  The block-compiled engine
-    computes this once per instruction at block-compile time. *)
-
-val dynamic_meta : taken:bool -> mem_words:int -> dmisses:int -> int
-(** The dynamic part of a packed meta word; [static_meta ... lor
-    dynamic_meta ...] equals what {!record} packs from the same fields. *)
-
 val record_packed : t -> addr:int -> meta:int -> unit
-(** Append one event whose meta word is already packed ({!static_meta}
-    [lor] {!dynamic_meta}).  Identical trace bytes to {!record}; exists so
-    a compiled block pays two stores per instruction instead of re-packing
-    seven fields. *)
+(** Append one event: the [addr]/[meta] pair just handed to
+    {!Pipeline.issue}. *)
 
 val register_pairs : t -> int array -> int
 (** Register a compiled block's pairs table — (addr, meta) two ints per
@@ -98,25 +64,12 @@ val dcache_rate : t -> float
 
     Trace-level evaluators (the all-geometry DSE sweep kernel) process
     events without driving a pipeline object per geometry.  They read the
-    same packed events through the same decoders [replay] uses. *)
+    same packed events the pipeline charges. *)
 
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter t f] calls [f addr meta] for every recorded event in order.
-    [meta] is the packed metadata word; decode it with the [meta_*]
-    accessors below. *)
-
-val meta_cls_code : int -> int
-(** Instruction-class code of a packed meta word (see {!cls_of_code}). *)
-
-val meta_taken : int -> bool
-val meta_backward : int -> bool
-val meta_mem_words : int -> int
-val meta_reads : int -> int
-val meta_writes : int -> int
-
-val meta_dmisses : int -> int
-(** Recorded D-cache miss count of the event (what [replay] passes to
-    {!Pipeline.issue} as [dmisses]). *)
+    [meta] is the packed metadata word; decode it with the
+    [Pipeline.meta_*] accessors. *)
 
 val exec_counts : t -> base:int -> n:int -> int array
 (** Per-slot execution counts of the recorded stream: slot
@@ -128,8 +81,8 @@ val exec_counts : t -> base:int -> n:int -> int array
 
 (** What a replay measures — the cache/timing/power half of a runner's
     result record.  Identical to what the same instruction stream produces
-    when simulated directly: replay drives the same [Pipeline.issue]
-    sequence with the same arguments. *)
+    when simulated directly: replay charges the same events through the
+    same pipeline body. *)
 type stats = {
   instructions : int;
   cycles : int;
@@ -143,25 +96,34 @@ type stats = {
 
 val dcache_cfg : Pf_cache.Icache.config
 (** The fixed SA-1100-like 8 KB data cache shared by every configuration
-    (simulated by recording runs only; replays use the recorded misses). *)
+    (simulated by live runs only; replays use the recorded misses). *)
+
+val live_meta :
+  Pf_cache.Icache.t ->
+  static:int ->
+  taken:bool ->
+  mem_addr:int ->
+  mem_words:int ->
+  int
+(** The full meta word of one live retirement: walks the [mem_words]
+    words from [mem_addr] ([-1] = none) through the run's D-cache when
+    [static] ({!Pipeline.static_meta}) is a load or store, and packs the
+    misses with the dynamic fields.  Every live engine builds its events
+    here and hands the same word to {!Pipeline.issue} and, when
+    recording, to {!record_packed}. *)
 
 val replay :
   ?pipeline_cfg:Pipeline.config ->
   ?power_params:Pf_power.Account.Params.t ->
   ?classify:bool ->
   ?cache:Pf_cache.Icache.t ->
-  ?seq:int array * int ->
   cache_cfg:Pf_cache.Icache.config ->
-  fetch_data:(int -> int) ->
+  words:int array ->
+  code_base:int ->
   t ->
   stats
 (** Drive a fresh I-cache ([cache_cfg]), pipeline and power account with
     the recorded stream; data-side stalls come from the recorded miss
-    counts.  [fetch_data] must be the same word-at-address function the
-    execute phase used (the image is immutable, so the words driven onto
-    the fetch bus are reproduced exactly).  [cache] substitutes a
-    pre-built I-cache instance, as in the direct runners.  [seq] =
-    [(Pipeline.seq_toggle_prefix of the code words, code_base / 4)]
-    routes sequential ALU runs through the line-batched span kernel
-    ({!Pipeline.issue_alu_seq_span}) — identical results, several times
-    faster; omit it and replay uses the per-access span path. *)
+    counts.  [words]/[code_base] must be the code segment the recording
+    run fetched from (see {!Pipeline.create}).  [cache] substitutes a
+    pre-built I-cache instance, as in the direct runners. *)

@@ -684,11 +684,11 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
             done
           end
         end;
-        let dm = Pf_cpu.Trace.meta_dmisses meta in
+        let dm = Pf_cpu.Pipeline.meta_dmisses meta in
         w_dm := !w_dm + dm;
-        let reads = Pf_cpu.Trace.meta_reads meta in
-        let writes = Pf_cpu.Trace.meta_writes meta in
-        let ccode = Pf_cpu.Trace.meta_cls_code meta in
+        let reads = Pf_cpu.Pipeline.meta_reads meta in
+        let writes = Pf_cpu.Pipeline.meta_writes meta in
+        let ccode = Pf_cpu.Pipeline.meta_cls_code meta in
         let is_branch = ccode = 4 in
         let is_mul = ccode = 1 in
         let is_load = ccode = 2 in
@@ -730,13 +730,13 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
            (* lazily mark the pairing state cleared instead of zeroing
               every word on every non-compat event *)
            pp_zero := true);
-        let taken = Pf_cpu.Trace.meta_taken meta in
+        let taken = Pf_cpu.Pipeline.meta_taken meta in
         let extra =
           Pf_cpu.Pipeline.extra_cycles cfg
-            ~cls:(Pf_cpu.Trace.cls_of_code ccode)
+            ~cls:(Pf_cpu.Pipeline.cls_of_code ccode)
             ~taken
-            ~backward:(Pf_cpu.Trace.meta_backward meta)
-            ~mem_words:(Pf_cpu.Trace.meta_mem_words meta)
+            ~backward:(Pf_cpu.Pipeline.meta_backward meta)
+            ~mem_words:(Pf_cpu.Pipeline.meta_mem_words meta)
         in
         w_extras := !w_extras + extra;
         open_prev := dual && (not is_branch) && (not is_mul) && extra = 0;

@@ -51,8 +51,9 @@ val run :
   Pf_cpu.Trace.t ->
   result
 (** Evaluate every geometry of [geometries] against the trace in one
-    pass.  [fetch_data] must be the recording run's word-at-address
-    function, exactly as for {!Pf_cpu.Trace.replay}.  [params_of] maps
+    pass.  [fetch_data] must return the word at an aligned address of
+    the code segment the recording run fetched from (the [words] a
+    {!Pf_cpu.Trace.replay} takes).  [params_of] maps
     each geometry to its power parameters (default: the same
     [Account.Params.default] a bare replay uses; the explorer passes
     [Account.Params.for_geometry]).  All parameter sets must agree on

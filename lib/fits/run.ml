@@ -17,32 +17,27 @@ type result = {
   power : Pf_power.Account.report;
 }
 
-type meta = {
-  cls : P.insn_class;
-  reads : int;
-  writes : int;
-  backward : bool;
-}
-
+(* The static meta word of one translated slot. *)
 let meta_of_micro (m : Mapping.micro) =
+  let meta cls ~reads ~writes ~backward =
+    P.static_meta ~cls_code:(P.cls_code cls) ~backward ~reads ~writes
+  in
   match m with
   | Mapping.M_exec insn ->
-      {
-        cls = Pf_cpu.Arm_run.Meta.classify insn;
-        reads = A.read_mask insn;
-        writes = A.write_mask insn;
-        backward =
-          (match insn with A.B { offset; _ } -> offset < 0 | _ -> false);
-      }
+      meta
+        (Pf_cpu.Arm_run.Meta.classify insn)
+        ~reads:(A.read_mask insn) ~writes:(A.write_mask insn)
+        ~backward:
+          (match insn with A.B { offset; _ } -> offset < 0 | _ -> false)
   | Mapping.M_dp32 { rd; rn; op; _ } ->
       let reads = match op with A.MOV | A.MVN -> 0 | _ -> A.reg_bit rn in
-      { cls = P.Alu; reads; writes = A.reg_bit rd; backward = false }
+      meta P.Alu ~reads ~writes:(A.reg_bit rd) ~backward:false
   | Mapping.M_jalr rm ->
-      { cls = P.Branch; reads = A.reg_bit rm; writes = A.reg_bit A.lr;
-        backward = false }
+      meta P.Branch ~reads:(A.reg_bit rm) ~writes:(A.reg_bit A.lr)
+        ~backward:false
   | Mapping.M_undef _ ->
       (* never issued: dispatch raises before reaching the pipeline *)
-      { cls = P.Alu; reads = 0; writes = 0; backward = false }
+      meta P.Alu ~reads:0 ~writes:0 ~backward:false
 
 (* Predecode the translated stream: one micro-op per 16-bit slot, pipeline
    metadata attached (same classes and masks as [meta_of_micro]). *)
@@ -100,9 +95,9 @@ let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
   let account = Pf_power.Account.create ?params:power_params geometry in
   let code_base = tr.Translate.code_base in
   let words = tr.Translate.words in
-  let fetch_data addr = words.((addr - code_base) lsr 2) in
   let pipe =
-    P.create ?config:pipeline_cfg ~dcache ~cache ~account ~fetch_data ()
+    P.create ?config:pipeline_cfg ~cache ~account ~words ~code_base ~isize:2
+      ()
   in
   let insns = tr.Translate.insns in
   let ninsns = Array.length insns in
@@ -138,17 +133,14 @@ let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
       | Mapping.M_undef why ->
           Pf_util.Sim_error.raisef Pf_util.Sim_error.Decode_fault ~where
             "corrupted decoder entry at 0x%x: %s" !pc why);
-      let m = metas.(idx) in
-      let taken = o.Pf_arm.Exec.branch_taken in
-      let mem_addr = o.Pf_arm.Exec.mem_addr in
-      let mem_words = o.Pf_arm.Exec.mem_words in
-      P.issue pipe ~backward:m.backward ~mem_addr ~dmisses:(-1) ~addr:!pc
-        ~size:2 ~cls:m.cls ~reads:m.reads ~writes:m.writes ~taken ~mem_words;
+      let meta =
+        Pf_cpu.Trace.live_meta dcache ~static:metas.(idx)
+          ~taken:o.Pf_arm.Exec.branch_taken ~mem_addr:o.Pf_arm.Exec.mem_addr
+          ~mem_words:o.Pf_arm.Exec.mem_words
+      in
+      P.issue pipe ~addr:!pc ~meta;
       (match trace with
-      | Some t ->
-          Pf_cpu.Trace.record t ~addr:!pc ~cls:m.cls ~reads:m.reads
-            ~writes:m.writes ~taken ~backward:m.backward
-            ~dmisses:(P.last_dcache_misses pipe) ~mem_words
+      | Some t -> Pf_cpu.Trace.record_packed t ~addr:!pc ~meta
       | None -> ());
       if fi.Translate.first then begin
         incr src_retired;
@@ -230,14 +222,9 @@ let run ?(engine = Compiled) ?cache ?(cache_cfg = Pf_cpu.Step.default_cache_cfg)
 
 let replay ?pipeline_cfg ?power_params ?classify ~cache_cfg ~like
     (tr : Translate.t) trace =
-  let code_base = tr.Translate.code_base in
-  let words = tr.Translate.words in
   let s =
-    Pf_cpu.Trace.replay ?pipeline_cfg ?power_params ?classify
-      ~seq:(Pf_cpu.Pipeline.seq_toggle_prefix ~words, code_base lsr 2)
-      ~cache_cfg
-      ~fetch_data:(fun addr -> words.((addr - code_base) lsr 2))
-      trace
+    Pf_cpu.Trace.replay ?pipeline_cfg ?power_params ?classify ~cache_cfg
+      ~words:tr.Translate.words ~code_base:tr.Translate.code_base trace
   in
   {
     fits_instructions = like.fits_instructions;

@@ -105,18 +105,6 @@ let create ?(params = Params.default) geometry =
     peak = 0.0;
   }
 
-let on_access t ~toggles ~refilled_words =
-  t.accesses <- t.accesses + 1;
-  t.toggles <- t.toggles + toggles;
-  t.refill_words <- t.refill_words + refilled_words;
-  t.w_accesses <- t.w_accesses + 1;
-  t.w_toggles <- t.w_toggles + toggles;
-  t.w_refill_words <- t.w_refill_words + refilled_words
-
-let on_cycles t n =
-  t.cycles <- t.cycles + n;
-  t.w_cycles <- t.w_cycles + n
-
 let close_window t =
   (* an all-paired (zero-cycle) window has no power sample *)
   if t.w_cycles > 0 then begin
@@ -133,21 +121,15 @@ let close_window t =
   t.w_cycles <- 0;
   t.w_insns <- 0
 
-let on_retire t =
-  t.insns <- t.insns + 1;
-  t.w_insns <- t.w_insns + 1;
-  if t.w_insns >= t.params.Params.peak_window_insns then close_window t
-
 let window_room t = t.params.Params.peak_window_insns - t.w_insns
 
-(* Batched accounting for [insns] retired instructions whose summed
-   activity is [accesses]/[toggles]/[refilled_words]/[cycles].  Exactness
-   hinges on the peak windows: a window closes at a retire boundary, and
+(* Accounting for [insns] retired instructions whose summed activity is
+   [accesses]/[toggles]/[refilled_words]/[cycles].  Exactness hinges on
+   the peak windows: a window closes at a retire boundary, and
    contributions within one window are order-free (the sample is a
-   function of the window sums), so a batch is bit-identical to the
-   per-instruction call sequence iff no close falls strictly inside it —
-   the caller must keep [insns <= window_room].  Equivalent to [insns]
-   interleaved on_access/on_cycles/on_retire calls. *)
+   function of the window sums), so a batch is bit-identical to charging
+   its instructions one by one iff no close falls strictly inside it —
+   the caller must keep [insns <= window_room]. *)
 let on_block t ~accesses ~toggles ~refilled_words ~cycles ~insns =
   t.accesses <- t.accesses + accesses;
   t.toggles <- t.toggles + toggles;

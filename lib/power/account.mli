@@ -17,7 +17,7 @@
     integers therefore report bit-identical floats, which is what lets the
     single-pass all-geometry DSE kernel reproduce a per-geometry replay
     exactly.  Peak windows close every [peak_window_insns] {e retired
-    instructions} ({!on_retire}), an event-aligned boundary shared by all
+    instructions} ({!on_block}), an event-aligned boundary shared by all
     geometries; a cycle-aligned window would close at geometry-dependent
     points.
 
@@ -91,35 +91,25 @@ type t
 
 val create : ?params:Params.t -> Geometry.t -> t
 
-val on_access : t -> toggles:int -> refilled_words:int -> unit
-(** Record one cache access (switching activity). *)
-
-val on_cycles : t -> int -> unit
-(** Advance simulated time: accrues internal/leakage cycles, attributed
-    to the open peak window. *)
-
-val on_retire : t -> unit
-(** Record one retired instruction.  Every [peak_window_insns] retirements
-    the open window is evaluated ({!window_power}) into the running peak
-    and a fresh window starts.  Instruction retirement is the one event
-    stream shared by every cache geometry replaying the same trace, so
-    window boundaries land at identical points across a design-space
-    sweep. *)
-
 val window_room : t -> int
 (** Retirements left before the open peak window closes; always in
     [1, peak_window_insns].  The batch quantum for {!on_block}. *)
 
 val on_block : t -> accesses:int -> toggles:int -> refilled_words:int ->
   cycles:int -> insns:int -> unit
-(** Batched equivalent of [insns] interleaved {!on_access} /
-    {!on_cycles} / {!on_retire} calls whose activity sums to the given
-    counts.  Bit-identical to the per-instruction sequence {e provided}
-    [insns <= window_room t]: window closes happen at retire boundaries
-    and window sums are order-free, so the only thing a batch could get
-    wrong is skipping a close that falls strictly inside it — the
-    precondition rules that out.  Callers chunk longer runs by
-    [window_room].  Used by {!Pf_cpu.Pipeline.issue_alu_span}. *)
+(** Account [insns] retired instructions whose cache activity sums to
+    [accesses] accesses with [toggles] output/address toggles and
+    [refilled_words] refill words, over [cycles] cycles (internal and
+    leakage accrue per cycle).  Every [peak_window_insns] retirements the
+    open window is evaluated ({!window_power}) into the running peak and
+    a fresh window starts.  Instruction retirement is the one event
+    stream shared by every cache geometry replaying the same trace, so
+    window boundaries land at identical points across a design-space
+    sweep.  A batch is bit-identical to charging its instructions one by
+    one {e provided} [insns <= window_room t]: window sums are order-free,
+    so the only thing a batch could get wrong is skipping a close that
+    falls strictly inside it.  {!Pf_cpu.Pipeline} chunks its batches by
+    [window_room]. *)
 
 type report = {
   switching : float;

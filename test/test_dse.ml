@@ -305,9 +305,8 @@ let prop_replay_equals_direct =
       let replay_cache = C.create ~classify:true g in
       let replayed =
         Pf_cpu.Trace.replay ~power_params:params ~cache:replay_cache
-          ~cache_cfg:g
-          ~fetch_data:(fun a -> Pf_arm.Image.word_at image a)
-          trace
+          ~cache_cfg:g ~words:image.Pf_arm.Image.words
+          ~code_base:image.Pf_arm.Image.code_base trace
       in
       direct.Pf_cpu.Arm_run.instructions
       = replayed.Pf_cpu.Trace.instructions
@@ -347,7 +346,8 @@ let sweep_matches_replay gs =
       let cache = C.create ~classify:true g in
       let st =
         Pf_cpu.Trace.replay ~power_params:(params_of g) ~cache ~cache_cfg:g
-          ~fetch_data trace
+          ~words:image.Pf_arm.Image.words
+          ~code_base:image.Pf_arm.Image.code_base trace
       in
       let sv = sw.Pf_dse.Sweep.stats.(i) in
       let cl = classes.(i) in

@@ -32,16 +32,24 @@ let params : Acc.Params.t =
     peak_window_insns = 4;
   }
 
+(* per-event activity, fed through the batched accounting entry *)
+let access a ~toggles ~refilled_words =
+  Acc.on_block a ~accesses:1 ~toggles ~refilled_words ~cycles:0 ~insns:0
+
+let spend a n =
+  Acc.on_block a ~accesses:0 ~toggles:0 ~refilled_words:0 ~cycles:n ~insns:0
+
 let retire_n a n =
   for _ = 1 to n do
-    Acc.on_retire a
+    Acc.on_block a ~accesses:0 ~toggles:0 ~refilled_words:0 ~cycles:0
+      ~insns:1
   done
 
 let test_accounting_linearity () =
   let a = Acc.create ~params (geom 16) in
-  Acc.on_access a ~toggles:5 ~refilled_words:0;
-  Acc.on_access a ~toggles:5 ~refilled_words:0;
-  Acc.on_cycles a 10;
+  access a ~toggles:5 ~refilled_words:0;
+  access a ~toggles:5 ~refilled_words:0;
+  spend a 10;
   let r = Acc.report a in
   checkf "switching = 2 * (k_access + 5)" 30.0 r.Acc.switching;
   let gates = float_of_int (geom 16).G.gate_count in
@@ -55,7 +63,7 @@ let test_accounting_linearity () =
 
 let test_refill_energy () =
   let a = Acc.create ~params (geom 16) in
-  Acc.on_access a ~toggles:0 ~refilled_words:8;
+  access a ~toggles:0 ~refilled_words:8;
   let r = Acc.report a in
   checkf "refill charged per bit" (10.0 +. (2.0 *. 8.0 *. 32.0)) r.Acc.switching
 
@@ -63,11 +71,11 @@ let test_peak_exceeds_average () =
   let a = Acc.create ~params (geom 16) in
   (* one busy 4-instruction window, then two idle windows *)
   for _ = 1 to 10 do
-    Acc.on_access a ~toggles:10 ~refilled_words:0
+    access a ~toggles:10 ~refilled_words:0
   done;
-  Acc.on_cycles a 4;
+  spend a 4;
   retire_n a 4;
-  Acc.on_cycles a 12;
+  spend a 12;
   retire_n a 8;
   let r = Acc.report a in
   let avg = Acc.avg_power r in
@@ -78,8 +86,8 @@ let test_peak_exceeds_average () =
 let test_peak_window_boundaries () =
   let a = Acc.create ~params (geom 16) in
   (* switching lands in the open window even before it closes *)
-  Acc.on_access a ~toggles:100 ~refilled_words:0;
-  Acc.on_cycles a 4;
+  access a ~toggles:100 ~refilled_words:0;
+  spend a 4;
   retire_n a 4;
   let r1 = (Acc.report a).Acc.peak_power in
   check_bool "window closed with switching included" true
@@ -93,13 +101,13 @@ let test_closed_form_equivalence () =
   let acc = ref 0 and tog = ref 0 and rw = ref 0 and cyc = ref 0 in
   List.iter
     (fun (t, w, c) ->
-      Acc.on_access a ~toggles:t ~refilled_words:w;
+      access a ~toggles:t ~refilled_words:w;
       incr acc;
       tog := !tog + t;
       rw := !rw + w;
-      Acc.on_cycles a c;
+      spend a c;
       cyc := !cyc + c;
-      Acc.on_retire a)
+      retire_n a 1)
     [ (3, 0, 1); (15, 8, 26); (0, 0, 2); (7, 0, 1); (2, 8, 25); (9, 0, 3) ];
   let r = Acc.report a in
   let direct =
@@ -142,9 +150,9 @@ let test_calibration_breakdown () =
   let a = Acc.create (geom 16) in
   (* emulate 1000 cycles at ~0.85 fetches/cycle with typical toggles *)
   for _ = 1 to 850 do
-    Acc.on_access a ~toggles:15 ~refilled_words:0
+    access a ~toggles:15 ~refilled_words:0
   done;
-  Acc.on_cycles a 1000;
+  spend a 1000;
   let r = Acc.report a in
   let share x = 100.0 *. x /. r.Acc.total in
   check_bool "switching ~ a third" true
@@ -165,8 +173,8 @@ let prop_energy_monotone =
       let previous = ref 0.0 in
       List.for_all
         (fun (toggles, cycles) ->
-          Acc.on_access a ~toggles ~refilled_words:0;
-          Acc.on_cycles a cycles;
+          access a ~toggles ~refilled_words:0;
+          spend a cycles;
           let t = (Acc.report a).Acc.total in
           let ok = t >= !previous in
           previous := t;

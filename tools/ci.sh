@@ -24,14 +24,17 @@ dune runtest
 echo "== engine differential: reference vs compiled =="
 # The run reports are fully deterministic (no wall-clock in them), so the
 # two engines must print byte-identical bytes — instructions, cycles,
-# misses, every power figure, program output — for both ISAs.
+# misses, every power figure, program output — for both ISAs at both
+# cache sizes.
 ENG_DIR=$(mktemp -d)
-for eng in reference compiled; do
-  dune exec bin/powerfits.exe -- run --benchmarks crc32,sha,qsort \
-    --engine "$eng" >"$ENG_DIR/$eng.out"
+for cfg in arm16 arm8 fits16 fits8; do
+  for eng in reference compiled; do
+    dune exec bin/powerfits.exe -- run --benchmarks crc32,sha,qsort \
+      --config "$cfg" --engine "$eng" >"$ENG_DIR/$cfg.$eng.out"
+  done
+  cmp -s "$ENG_DIR/$cfg.reference.out" "$ENG_DIR/$cfg.compiled.out" || {
+    echo "ci: compiled engine diverges from reference at $cfg"; exit 1; }
 done
-cmp -s "$ENG_DIR/reference.out" "$ENG_DIR/compiled.out" || {
-  echo "ci: compiled engine diverges from reference"; exit 1; }
 rm -rf "$ENG_DIR"
 
 echo "== explore smoke grid =="

@@ -30,7 +30,7 @@ let jobs =
   in
   match scan 1 with
   | Some j when j >= 1 -> j
-  | Some _ | None -> Pf_harness.Pool.default_jobs ()
+  | Some _ | None -> Pf_util.Pool.default_jobs ()
 
 (* `--engine reference|compiled` pins the execution engine of the
    figures sweep, the headline aggregate and the `--check` gate (default:

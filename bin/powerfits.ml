@@ -87,7 +87,7 @@ let resolve_jobs = function
      same as any other bad configuration (the top-level handler turns it
      into the Sim_error exit code) *)
   | Some j -> Pf_util.Pool.validate_jobs ~where:"cli" j
-  | None -> Pf_harness.Pool.default_jobs ()
+  | None -> Pf_util.Pool.default_jobs ()
 
 (* ---- list ---- *)
 

@@ -372,6 +372,7 @@ let access_seq t ~addr ~data =
 
 let has_pending_flips t = t.pending_flips <> []
 let block_bytes t = t.cfg.block_bytes
+let config_of t = t.cfg
 
 (* Bulk form of [naccesses] same-line sequential hits.  Preconditions
    (caller-proved, see the mli): every access is to the line of the

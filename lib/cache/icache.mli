@@ -65,6 +65,10 @@ val create : ?classify:bool -> config -> t
 (** [classify] (default false) enables the shadow cache for miss
     classification; it costs extra simulation time. *)
 
+val config_of : t -> config
+(** The geometry this instance was created with — what prices a
+    pre-built cache's power account ({!Pf_cpu.Pipeline.stack}). *)
+
 type result = {
   hit : bool;
   toggles : int;        (** output + index toggles of this access *)

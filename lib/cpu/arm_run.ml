@@ -40,25 +40,35 @@ type result = {
   power : Pf_power.Account.report;
 }
 
-let dcache_cfg = Trace.dcache_cfg
+(* The one reader of a stack's counters into this runner's record. *)
+let of_stats ~output (s : Pipeline.stats) =
+  {
+    instructions = s.Pipeline.instructions;
+    cycles = s.Pipeline.cycles;
+    ipc =
+      (if s.Pipeline.cycles = 0 then 0.0
+       else
+         float_of_int s.Pipeline.instructions
+         /. float_of_int s.Pipeline.cycles);
+    fetch_accesses = s.Pipeline.fetch_accesses;
+    output;
+    cache_accesses = s.Pipeline.cache_accesses;
+    cache_misses = s.Pipeline.cache_misses;
+    miss_rate_per_million = s.Pipeline.miss_rate_per_million;
+    dcache_miss_rate_pm = s.Pipeline.dcache_miss_rate_pm;
+    power = s.Pipeline.power;
+  }
 
 (* The differential oracle: [Exec.run] re-derives every instruction from
    its encoding each step and feeds the timing model from [build_meta]. *)
-let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
-    ?max_steps ?deadline ?trace (image : Pf_arm.Image.t) =
-  let cache =
-    match cache with
-    | Some c -> c
-    | None -> Pf_cache.Icache.create ~classify cache_cfg
-  in
-  let dcache = Pf_cache.Icache.create dcache_cfg in
-  let geometry = Pf_power.Geometry.of_config cache_cfg in
-  let account = Pf_power.Account.create ?params:power_params geometry in
+let run_reference ?cache ?cache_cfg ?pipeline_cfg ?classify ?max_steps
+    ?deadline ?trace (image : Pf_arm.Image.t) =
   let code_base = image.Pf_arm.Image.code_base in
   let pipe =
-    Pipeline.create ?config:pipeline_cfg ~cache ~account
+    Pipeline.stack ?config:pipeline_cfg ?classify ?cache ?cache_cfg
       ~words:image.Pf_arm.Image.words ~code_base ~isize:4 ()
   in
+  let dcache = Pf_cache.Icache.create Trace.dcache_cfg in
   let st = Pf_arm.Exec.create image in
   let metas = build_meta image in
   Pf_arm.Exec.run ?max_steps ?deadline st ~on_step:(fun _ ~pc insn o ->
@@ -78,34 +88,23 @@ let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
       match trace with
       | Some t -> Trace.record_packed t ~addr:pc ~meta
       | None -> ());
+  let dcache_miss_rate_pm = Pf_cache.Icache.miss_rate_per_million dcache in
   (match trace with
-  | Some t ->
-      Trace.set_dcache_rate t (Pf_cache.Icache.miss_rate_per_million dcache)
+  | Some t -> Trace.set_dcache_rate t dcache_miss_rate_pm
   | None -> ());
-  {
-    instructions = Pipeline.instructions pipe;
-    cycles = Pipeline.cycles pipe;
-    ipc = Pipeline.ipc pipe;
-    fetch_accesses = Pipeline.fetch_accesses pipe;
-    output = Pf_arm.Exec.output st;
-    cache_accesses = Pf_cache.Icache.stats_accesses cache;
-    cache_misses = Pf_cache.Icache.stats_misses cache;
-    miss_rate_per_million = Pf_cache.Icache.miss_rate_per_million cache;
-    dcache_miss_rate_pm = Pf_cache.Icache.miss_rate_per_million dcache;
-    power = Pf_power.Account.report account;
-  }
+  of_stats ~output:(Pf_arm.Exec.output st)
+    (Pipeline.stats pipe ~dcache_miss_rate_pm)
 
-let run ?(engine = Compiled) ?cache ?(cache_cfg = Step.default_cache_cfg)
-    ?pipeline_cfg ?power_params ?(classify = false) ?max_steps ?deadline
-    ?trace (image : Pf_arm.Image.t) =
+let run ?(engine = Compiled) ?cache ?cache_cfg ?pipeline_cfg ?classify
+    ?max_steps ?deadline ?trace (image : Pf_arm.Image.t) =
   match engine with
   | Reference ->
-      run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
-        ?max_steps ?deadline ?trace image
+      run_reference ?cache ?cache_cfg ?pipeline_cfg ?classify ?max_steps
+        ?deadline ?trace image
   | Compiled ->
       let core =
-        Step.of_image ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
-          ?max_steps ?deadline ?trace image
+        Step.of_image ?cache ?cache_cfg ?pipeline_cfg ?classify ?max_steps
+          ?deadline ?trace image
       in
       Step.run core;
       let r = Step.result core in
@@ -122,24 +121,9 @@ let run ?(engine = Compiled) ?cache ?(cache_cfg = Step.default_cache_cfg)
         power = r.Step.power;
       }
 
-let replay ?pipeline_cfg ?power_params ?classify ~cache_cfg ~output
-    (image : Pf_arm.Image.t) trace =
-  let s =
-    Trace.replay ?pipeline_cfg ?power_params ?classify ~cache_cfg
-      ~words:image.Pf_arm.Image.words ~code_base:image.Pf_arm.Image.code_base
-      trace
-  in
-  {
-    instructions = s.Trace.instructions;
-    cycles = s.Trace.cycles;
-    ipc =
-      (if s.Trace.cycles = 0 then 0.0
-       else float_of_int s.Trace.instructions /. float_of_int s.Trace.cycles);
-    fetch_accesses = s.Trace.fetch_accesses;
-    output;
-    cache_accesses = s.Trace.cache_accesses;
-    cache_misses = s.Trace.cache_misses;
-    miss_rate_per_million = s.Trace.miss_rate_per_million;
-    dcache_miss_rate_pm = s.Trace.dcache_miss_rate_pm;
-    power = s.Trace.power;
-  }
+let replay ?pipeline_cfg ?classify ~cache_cfg ~output (image : Pf_arm.Image.t)
+    trace =
+  of_stats ~output
+    (Trace.replay ?pipeline_cfg ?classify ~cache_cfg
+       ~words:image.Pf_arm.Image.words ~code_base:image.Pf_arm.Image.code_base
+       trace)

@@ -16,9 +16,6 @@ type result = {
   power : Pf_power.Account.report;
 }
 
-val dcache_cfg : Pf_cache.Icache.config
-(** The fixed SA-1100-like 8 KB data cache used by both runners. *)
-
 (** Which interpreter drives the run.  [Compiled] (the default) is the
     one fast engine, {!Step.run}: {!Pf_arm.Pexec} micro-ops grouped into
     basic blocks ({!Pf_arm.Bexec}) and dispatched per block, with dead
@@ -35,17 +32,18 @@ val run :
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
   ?trace:Trace.t ->
   Pf_arm.Image.t ->
   result
-(** Default cache: 16 KB, 32-byte blocks, 32-way (the SA-1100 I-cache).
-    [cache] substitutes a pre-built I-cache instance (e.g. one created
-    with [~classify:true] for miss-class inspection); otherwise a fresh
-    one is built from [cache_cfg].
+(** The I-cache, its power account and the pipeline come from
+    {!Pipeline.stack}, so the run is priced by its own geometry.  Default
+    cache: 16 KB, 32-byte blocks, 32-way (the SA-1100 I-cache).  [cache]
+    substitutes a pre-built I-cache instance (e.g. one created with
+    [~classify:true] for miss-class inspection) and brings its own
+    geometry; otherwise a fresh one is built from [cache_cfg].
     [deadline] is the wall-clock watchdog, polled inside the execute loop.
     [trace] (created with [isize:4]) additionally records every retired
     instruction so other cache geometries can be {!replay}ed without
@@ -53,7 +51,6 @@ val run :
 
 val replay :
   ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?classify:bool ->
   cache_cfg:Pf_cache.Icache.config ->
   output:string ->
@@ -61,11 +58,12 @@ val replay :
   Trace.t ->
   result
 (** Re-run a recorded trace through a fresh cache/pipeline/power stack of
-    a (typically different) geometry.  Produces bit-identical statistics
-    to a direct {!run} of the same image with [cache_cfg]: the recorded
-    events are the very words the live run charged, and replay charges
-    them through the same pipeline body.  [output] is the program
-    output captured by the recording run (replay does not execute). *)
+    a (typically different) geometry, priced by that geometry.  Produces
+    bit-identical statistics to a direct {!run} of the same image with
+    [cache_cfg]: the recorded events are the very words the live run
+    charged, and replay charges them through the same pipeline body.
+    [output] is the program output captured by the recording run (replay
+    does not execute). *)
 
 (** Per-instruction metadata used by the timing model; exposed for the FITS
     runner which shares the pipeline. *)

@@ -157,6 +157,31 @@ let create ?(config = sa1100) ~cache ~account ~words ~code_base ~isize () =
     b_ins = 0;
   }
 
+let default_cache_cfg = Pf_cache.Icache.config ~size_bytes:(16 * 1024) ()
+
+(* The one place a charging stack is assembled: the account is priced by
+   the geometry of the I-cache the pipeline actually fetches through. *)
+let stack ?config ?(classify = false) ?cache ?cache_cfg ~words ~code_base
+    ~isize () =
+  let cache =
+    match (cache, cache_cfg) with
+    | Some c, Some g when Pf_cache.Icache.config_of c <> g ->
+        Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config
+          ~where:"cpu.pipeline"
+          "cache_cfg %d/%d/%d disagrees with the pre-built cache's geometry"
+          g.Pf_cache.Icache.size_bytes g.Pf_cache.Icache.block_bytes
+          g.Pf_cache.Icache.assoc
+    | Some c, _ -> c
+    | None, g ->
+        Pf_cache.Icache.create ~classify
+          (Option.value g ~default:default_cache_cfg)
+  in
+  let account =
+    Pf_power.Account.create
+      (Pf_power.Geometry.of_config (Pf_cache.Icache.config_of cache))
+  in
+  create ?config ~cache ~account ~words ~code_base ~isize ()
+
 (* One I-cache access for the word at [word_addr], returning the miss
    stall.  Sequential code stays on one cache line for many fetches; when
    the previous fetch touched the same line the access is routed through
@@ -341,3 +366,26 @@ let cycles t = t.cycles
 let instructions t = t.instrs
 let ipc t = if t.cycles = 0 then 0.0 else float_of_int t.instrs /. float_of_int t.cycles
 let fetch_accesses t = t.fetches
+
+type stats = {
+  instructions : int;
+  cycles : int;
+  fetch_accesses : int;
+  cache_accesses : int;
+  cache_misses : int;
+  miss_rate_per_million : float;
+  dcache_miss_rate_pm : float;
+  power : Pf_power.Account.report;
+}
+
+let stats t ~dcache_miss_rate_pm =
+  {
+    instructions = t.instrs;
+    cycles = t.cycles;
+    fetch_accesses = t.fetches;
+    cache_accesses = Pf_cache.Icache.stats_accesses t.cache;
+    cache_misses = Pf_cache.Icache.stats_misses t.cache;
+    miss_rate_per_million = Pf_cache.Icache.miss_rate_per_million t.cache;
+    dcache_miss_rate_pm;
+    power = Pf_power.Account.report t.account;
+  }

@@ -117,7 +117,32 @@ val create :
     [words.(0)] at byte address [code_base]) — what the cache drives on
     its output bus.  [isize] is 4 (ARM) or 2 (FITS): the distance between
     sequential events.  The data side is not modelled here: events
-    arrive with their D-cache misses already in the meta word. *)
+    arrive with their D-cache misses already in the meta word.  The
+    low-level constructor: runs and replays build their stack with
+    {!stack}; unit tests drive this one with a hand-built account. *)
+
+val default_cache_cfg : Pf_cache.Icache.config
+(** 16 KB, 32-byte blocks, 32-way: the SA-1100 I-cache, the ARM16
+    baseline — the geometry a {!stack} gets when given none. *)
+
+val stack :
+  ?config:config ->
+  ?classify:bool ->
+  ?cache:Pf_cache.Icache.t ->
+  ?cache_cfg:Pf_cache.Icache.config ->
+  words:int array ->
+  code_base:int ->
+  isize:int ->
+  unit ->
+  t
+(** The charging stack of one run or replay: an I-cache, a power account
+    priced by that cache's geometry ({!Pf_power.Account.create}) and a
+    pipeline over both.  The I-cache is [cache] when given — a pre-built
+    instance, e.g. with scheduled tag flips; its geometry is read back
+    from it — and otherwise a fresh one of [cache_cfg] (default
+    {!default_cache_cfg}), classifying misses when [classify] (default
+    false).  Passing a [cache_cfg] that disagrees with [cache] raises
+    [Invalid_config]. *)
 
 val issue : t -> addr:int -> meta:int -> unit
 (** Charge one retired instruction of any class. *)
@@ -137,3 +162,21 @@ val cycles : t -> int
 val instructions : t -> int
 val ipc : t -> float
 val fetch_accesses : t -> int
+
+(** What a charging stack measured: the cache/timing/power half of a
+    runner's result record, read by {!stats} the same way for direct
+    runs, replays and multicore cores. *)
+type stats = {
+  instructions : int;
+  cycles : int;
+  fetch_accesses : int;
+  cache_accesses : int;
+  cache_misses : int;
+  miss_rate_per_million : float;
+  dcache_miss_rate_pm : float;
+      (** supplied by the caller: the live run's D-cache, or the rate a
+          recording carried to its replays *)
+  power : Pf_power.Account.report;
+}
+
+val stats : t -> dcache_miss_rate_pm:float -> stats

@@ -55,9 +55,7 @@ type t = {
   align_mask : int;         (* ARM faults on a misaligned pc; FITS never has *)
   where : string;           (* fault tag of the ISA's sequential runner *)
   pipe : Pipeline.t;
-  cache : Pf_cache.Icache.t;
   dcache : Pf_cache.Icache.t;
-  account : Pf_power.Account.t;
   max_steps : int;
   deadline : Pf_util.Deadline.t option;
   trace : Trace.t option;
@@ -94,26 +92,18 @@ let budget_fault t =
     Err.raisef Err.Watchdog_timeout ~where:t.where
       "FITS step budget exhausted (%d)" t.max_steps
 
-let default_cache_cfg = Pf_cache.Icache.config ~size_bytes:(16 * 1024) ()
+let default_cache_cfg = Pipeline.default_cache_cfg
 
-let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
-    ?power_params ?(classify = false) ?(max_steps = 500_000_000) ?deadline
-    ?trace ?src ~isize ~code_base ~words ~entry ~uops st =
+let create ?cache ?cache_cfg ?pipeline_cfg ?classify
+    ?(max_steps = 500_000_000) ?deadline ?trace ?src ~isize ~code_base ~words
+    ~entry ~uops st =
   let where = "cpu.step" in
   if isize <> 2 && isize <> 4 then
     Err.raisef Err.Invalid_config ~where
       "isize must be 2 (FITS) or 4 (ARM), got %d" isize;
-  let cache =
-    match cache with
-    | Some c -> c
-    | None -> Pf_cache.Icache.create ~classify cache_cfg
-  in
-  let dcache = Pf_cache.Icache.create Trace.dcache_cfg in
-  let geometry = Pf_power.Geometry.of_config cache_cfg in
-  let account = Pf_power.Account.create ?params:power_params geometry in
   let pipe =
-    Pipeline.create ?config:pipeline_cfg ~cache ~account ~words ~code_base
-      ~isize ()
+    Pipeline.stack ?config:pipeline_cfg ?classify ?cache ?cache_cfg ~words
+      ~code_base ~isize ()
   in
   let src_first, src_single =
     match src with
@@ -138,9 +128,7 @@ let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
     align_mask = (if isize = 4 then 3 else 0);
     where = (if isize = 4 then "arm.exec" else "fits.run");
     pipe;
-    cache;
-    dcache;
-    account;
+    dcache = Pf_cache.Icache.create Trace.dcache_cfg;
     max_steps;
     deadline;
     trace;
@@ -152,11 +140,11 @@ let create ?cache ?(cache_cfg = default_cache_cfg) ?pipeline_cfg
     src_one = 0;
   }
 
-let of_image ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify
-    ?max_steps ?deadline ?trace (image : Pf_arm.Image.t) =
+let of_image ?cache ?cache_cfg ?pipeline_cfg ?classify ?max_steps ?deadline
+    ?trace (image : Pf_arm.Image.t) =
   let p = Px.compile image in
-  create ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify ?max_steps
-    ?deadline ?trace ~isize:4 ~code_base:p.Px.code_base
+  create ?cache ?cache_cfg ?pipeline_cfg ?classify ?max_steps ?deadline
+    ?trace ~isize:4 ~code_base:p.Px.code_base
     ~words:image.Pf_arm.Image.words ~entry:p.Px.entry ~uops:p.Px.uops
     (E.create image)
 
@@ -362,27 +350,27 @@ let stored_words t =
   if stored_addr t < 0 then 0 else max 1 t.o.E.mem_words
 
 let result t =
-  let cycles = Pipeline.cycles t.pipe in
+  let dcache_miss_rate_pm = Pf_cache.Icache.miss_rate_per_million t.dcache in
+  (match t.trace with
+  | Some tr -> Trace.set_dcache_rate tr dcache_miss_rate_pm
+  | None -> ());
+  let s = Pipeline.stats t.pipe ~dcache_miss_rate_pm in
+  let cycles = s.Pipeline.cycles in
   let src =
     if Array.length t.src_first > 0 then t.src_retired
-    else Pipeline.instructions t.pipe
+    else s.Pipeline.instructions
   in
-  (match t.trace with
-  | Some tr ->
-      Trace.set_dcache_rate tr
-        (Pf_cache.Icache.miss_rate_per_million t.dcache)
-  | None -> ());
   {
-    instructions = Pipeline.instructions t.pipe;
+    instructions = s.Pipeline.instructions;
     src_instructions = src;
     src_one_to_one = t.src_one;
     cycles;
     ipc = (if cycles = 0 then 0.0 else float_of_int src /. float_of_int cycles);
-    fetch_accesses = Pipeline.fetch_accesses t.pipe;
+    fetch_accesses = s.Pipeline.fetch_accesses;
     output = E.output t.st;
-    cache_accesses = Pf_cache.Icache.stats_accesses t.cache;
-    cache_misses = Pf_cache.Icache.stats_misses t.cache;
-    miss_rate_per_million = Pf_cache.Icache.miss_rate_per_million t.cache;
-    dcache_miss_rate_pm = Pf_cache.Icache.miss_rate_per_million t.dcache;
-    power = Pf_power.Account.report t.account;
+    cache_accesses = s.Pipeline.cache_accesses;
+    cache_misses = s.Pipeline.cache_misses;
+    miss_rate_per_million = s.Pipeline.miss_rate_per_million;
+    dcache_miss_rate_pm;
+    power = s.Pipeline.power;
   }

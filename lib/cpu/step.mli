@@ -43,13 +43,14 @@ type result = {
 type t
 
 val default_cache_cfg : Pf_cache.Icache.config
-(** 16 KB, 32-byte blocks, 32-way: the SA-1100 I-cache, the ARM16 baseline. *)
+(** The I-cache a core gets without [cache] or [cache_cfg]:
+    {!Pipeline.default_cache_cfg}, the SA-1100's 16 KB / 32 B / 32-way
+    ARM16 baseline. *)
 
 val create :
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
@@ -67,17 +68,17 @@ val create :
     indexed from [code_base] in 32-bit words.  [src], for FITS cores,
     gives per-slot (first-of-group, group-is-singleton) flags indexed
     like [uops] — they drive the source-instruction counts the FITS
-    runner reports.  [cache] substitutes a pre-built I-cache (one created
-    with [~classify:true], or with scheduled tag flips); its geometry must
-    match [cache_cfg], which still drives the power model.  [max_steps]
-    (default 500 million) is the per-core watchdog; [trace] must be
-    created with the matching [isize]. *)
+    runner reports.  The I-cache, power account and pipeline come from
+    {!Pipeline.stack}: [cache] substitutes a pre-built I-cache (one
+    created with [~classify:true], or with scheduled tag flips) whose own
+    geometry prices the account, otherwise a fresh one of [cache_cfg] is
+    built.  [max_steps] (default 500 million) is the per-core watchdog;
+    [trace] must be created with the matching [isize]. *)
 
 val of_image :
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->

@@ -1,8 +1,11 @@
 (* Two ints per event, stored in fixed-size chunks so recording never
-   copies what is already written (a doubling flat array would).  An
-   event is exactly what [Pipeline.issue] charges — the fetch pc and the
-   packed meta word whose layout [Pipeline] owns — stored unchanged, so a
-   replay feeds the pipeline the very words the live run issued.
+   copies what is already written (a doubling flat array would); every
+   reader takes a full chunk's length from the chunk itself.  Chunks that
+   start small and double measured a larger peak heap on the figures
+   sweep (EXPERIMENTS.md), so every chunk is full size.  An event is
+   exactly what [Pipeline.issue] charges — the fetch pc and the packed
+   meta word whose layout [Pipeline] owns — stored unchanged, so a replay
+   feeds the pipeline the very words the live run issued.
 
    Block-granular events: the block-compiled engines emit a fused ALU run
    as ONE two-int event — slot 0 is [-1 - tid] (negative, so per-insn
@@ -17,10 +20,10 @@
    and the tables stay cache-hot across the block's executions. *)
 
 let ints_per_event = 2
+let chunk_events = 65536
 
 type t = {
   isize : int;
-  chunk_events : int;
   mutable chunks : int array array;
   mutable nchunks : int;      (* chunks in use *)
   mutable cur : int array;    (* == chunks.(nchunks - 1) *)
@@ -32,14 +35,10 @@ type t = {
   mutable nptabs : int;
 }
 
-let create ?(chunk_events = 65536) ~isize () =
-  if chunk_events <= 0 then
-    Pf_util.Sim_error.raisef Pf_util.Sim_error.Invalid_config
-      ~where:"cpu.trace" "chunk_events must be positive (got %d)" chunk_events;
+let create ~isize () =
   let first = Array.make (chunk_events * ints_per_event) 0 in
   {
     isize;
-    chunk_events;
     chunks = [| first |];
     nchunks = 1;
     cur = first;
@@ -59,10 +58,9 @@ let[@inline] span_pos w = w land 0xFFFFFFFF
 let[@inline] span_n w = w lsr 32
 
 let iter t f =
-  let full = t.chunk_events * ints_per_event in
   for ci = 0 to t.nchunks - 1 do
     let chunk = t.chunks.(ci) in
-    let used = if ci = t.nchunks - 1 then t.cur_used else full in
+    let used = if ci = t.nchunks - 1 then t.cur_used else Array.length chunk in
     let i = ref 0 in
     while !i < used do
       let a = chunk.(!i) in
@@ -100,14 +98,14 @@ let grow t =
     Array.blit t.chunks 0 spine 0 t.nchunks;
     t.chunks <- spine
   end;
-  let c = Array.make (t.chunk_events * ints_per_event) 0 in
+  let c = Array.make (chunk_events * ints_per_event) 0 in
   t.chunks.(t.nchunks) <- c;
   t.nchunks <- t.nchunks + 1;
   t.cur <- c;
   t.cur_used <- 0
 
 let record_packed t ~addr ~meta =
-  if t.cur_used = t.chunk_events * ints_per_event then grow t;
+  if t.cur_used = Array.length t.cur then grow t;
   let i = t.cur_used in
   t.cur.(i) <- addr;
   t.cur.(i + 1) <- meta;
@@ -131,23 +129,12 @@ let register_pairs t pairs =
   t.nptabs - 1
 
 let record_span t ~tid ~pos ~n =
-  if t.cur_used = t.chunk_events * ints_per_event then grow t;
+  if t.cur_used = Array.length t.cur then grow t;
   let i = t.cur_used in
   t.cur.(i) <- -1 - tid;
   t.cur.(i + 1) <- pos lor (n lsl 32);
   t.cur_used <- i + 2;
   t.len <- t.len + n
-
-type stats = {
-  instructions : int;
-  cycles : int;
-  fetch_accesses : int;
-  cache_accesses : int;
-  cache_misses : int;
-  miss_rate_per_million : float;
-  dcache_miss_rate_pm : float;
-  power : Pf_power.Account.report;
-}
 
 (* the SA-1100's 8 KB data cache, identical in all four configurations *)
 let dcache_cfg = Pf_cache.Icache.config ~size_bytes:(8 * 1024) ()
@@ -172,20 +159,11 @@ let[@inline] live_meta dcache ~static ~taken ~mem_addr ~mem_words =
   in
   static lor Pipeline.dynamic_meta ~taken ~mem_words ~dmisses
 
-let replay ?pipeline_cfg ?power_params ?(classify = false) ?cache ~cache_cfg
-    ~words ~code_base t =
-  let cache =
-    match cache with
-    | Some c -> c
-    | None -> Pf_cache.Icache.create ~classify cache_cfg
-  in
-  let geometry = Pf_power.Geometry.of_config cache_cfg in
-  let account = Pf_power.Account.create ?params:power_params geometry in
+let replay ?pipeline_cfg ?classify ?cache ?cache_cfg ~words ~code_base t =
   let pipe =
-    Pipeline.create ?config:pipeline_cfg ~cache ~account ~words ~code_base
-      ~isize:t.isize ()
+    Pipeline.stack ?config:pipeline_cfg ?classify ?cache ?cache_cfg ~words
+      ~code_base ~isize:t.isize ()
   in
-  let full = t.chunk_events * ints_per_event in
   (* stored events go to the pipeline unchanged: a block event as its
      table slice, a run of per-instruction events as a chunk slice (a run
      cut by a chunk boundary is two slices, which is equivalent: the
@@ -194,7 +172,7 @@ let replay ?pipeline_cfg ?power_params ?(classify = false) ?cache ~cache_cfg
   let i = ref 0 and j = ref 0 in
   for ci = 0 to t.nchunks - 1 do
     let chunk = t.chunks.(ci) in
-    let used = if ci = t.nchunks - 1 then t.cur_used else full in
+    let used = if ci = t.nchunks - 1 then t.cur_used else Array.length chunk in
     i := 0;
     while !i < used do
       let a = chunk.(!i) in
@@ -214,13 +192,4 @@ let replay ?pipeline_cfg ?power_params ?(classify = false) ?cache ~cache_cfg
       end
     done
   done;
-  {
-    instructions = Pipeline.instructions pipe;
-    cycles = Pipeline.cycles pipe;
-    fetch_accesses = Pipeline.fetch_accesses pipe;
-    cache_accesses = Pf_cache.Icache.stats_accesses cache;
-    cache_misses = Pf_cache.Icache.stats_misses cache;
-    miss_rate_per_million = Pf_cache.Icache.miss_rate_per_million cache;
-    dcache_miss_rate_pm = t.dcache_rate_pm;
-    power = Pf_power.Account.report account;
-  }
+  Pipeline.stats pipe ~dcache_miss_rate_pm:t.dcache_rate_pm

@@ -17,16 +17,16 @@
     replay charge the recorded data-side stalls instead of re-simulating
     the (configuration-invariant) D-cache.  A replay feeds the stored
     words to {!Pipeline.issue_events} unchanged.  Storage is a chunked
-    flat [int array] — two ints per retired instruction, no per-event
-    allocation — so recording costs a few stores per instruction and a
-    10M-instruction trace takes ~160 MB at worst and typically far
-    less. *)
+    flat [int array] — two ints per retired instruction in 65 536-event
+    chunks, no per-event allocation — so recording costs a few stores per
+    instruction and a 10M-instruction trace takes ~160 MB at worst and
+    typically far less. *)
 
 type t
 
-val create : ?chunk_events:int -> isize:int -> unit -> t
+val create : isize:int -> unit -> t
 (** Fresh empty trace for instructions of [isize] bytes (4 = ARM,
-    2 = FITS).  [chunk_events] (default 65536) sizes the growth unit. *)
+    2 = FITS). *)
 
 val isize : t -> int
 
@@ -79,21 +79,6 @@ val exec_counts : t -> base:int -> n:int -> int array
     letting the harness feed instruction-set synthesis without a separate
     profiling execution. *)
 
-(** What a replay measures — the cache/timing/power half of a runner's
-    result record.  Identical to what the same instruction stream produces
-    when simulated directly: replay charges the same events through the
-    same pipeline body. *)
-type stats = {
-  instructions : int;
-  cycles : int;
-  fetch_accesses : int;
-  cache_accesses : int;
-  cache_misses : int;
-  miss_rate_per_million : float;
-  dcache_miss_rate_pm : float;
-  power : Pf_power.Account.report;
-}
-
 val dcache_cfg : Pf_cache.Icache.config
 (** The fixed SA-1100-like 8 KB data cache shared by every configuration
     (simulated by live runs only; replays use the recorded misses). *)
@@ -114,16 +99,18 @@ val live_meta :
 
 val replay :
   ?pipeline_cfg:Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?classify:bool ->
   ?cache:Pf_cache.Icache.t ->
-  cache_cfg:Pf_cache.Icache.config ->
+  ?cache_cfg:Pf_cache.Icache.config ->
   words:int array ->
   code_base:int ->
   t ->
-  stats
-(** Drive a fresh I-cache ([cache_cfg]), pipeline and power account with
-    the recorded stream; data-side stalls come from the recorded miss
-    counts.  [words]/[code_base] must be the code segment the recording
-    run fetched from (see {!Pipeline.create}).  [cache] substitutes a
-    pre-built I-cache instance, as in the direct runners. *)
+  Pipeline.stats
+(** Drive a fresh charging stack ({!Pipeline.stack} of [cache] or
+    [cache_cfg], priced by that geometry) with the recorded stream;
+    data-side stalls come from the recorded miss counts and
+    [dcache_miss_rate_pm] is the recording's ({!dcache_rate}).
+    [words]/[code_base] must be the code segment the recording run
+    fetched from (see {!Pipeline.create}).  Identical to what the same
+    instruction stream measures when simulated directly: replay charges
+    the same events through the same pipeline body. *)

@@ -53,14 +53,6 @@ type t = {
   engine : Space.engine;
 }
 
-(* Per-point power: the coefficients scale analytically with the read
-   width (Account.Params.for_geometry) and the gate count enters through
-   the geometry itself.  At both paper points the scaled params equal the
-   defaults exactly, so those grid entries coincide bit-for-bit with the
-   harness numbers. *)
-let params_for cfg =
-  Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config cfg)
-
 let gates_for cfg = (Pf_power.Geometry.of_config cfg).Pf_power.Geometry.gate_count
 
 let metrics_of_arm cfg (r : Pf_cpu.Arm_run.result) =
@@ -97,8 +89,7 @@ let arm_sweep ~image ~output ~geometries trace =
   List.map
     (fun g ->
       let r =
-        Pf_cpu.Arm_run.replay ~power_params:(params_for g) ~cache_cfg:g
-          ~output image trace
+        Pf_cpu.Arm_run.replay ~cache_cfg:g ~output image trace
       in
       { variant = Arm; geometry = g; metrics = metrics_of_arm g r })
     geometries
@@ -106,10 +97,7 @@ let arm_sweep ~image ~output ~geometries trace =
 let fits_sweep ~dict_budget ~like ~geometries tr trace =
   List.map
     (fun g ->
-      let r =
-        Pf_fits.Run.replay ~power_params:(params_for g) ~cache_cfg:g ~like tr
-          trace
-      in
+      let r = Pf_fits.Run.replay ~cache_cfg:g ~like tr trace in
       { variant = Fits dict_budget; geometry = g; metrics = metrics_of_fits g r })
     geometries
 
@@ -120,27 +108,27 @@ let fits_sweep ~dict_budget ~like ~geometries tr trace =
    produced it — the sweep-vs-replay equivalence is asserted by
    test/test_dse.ml and by `powerfits explore --cross-check`. *)
 
-let metrics_of_stats cfg ~instructions (s : Pf_cpu.Trace.stats) =
+let metrics_of_stats cfg ~instructions (s : Pf_cpu.Pipeline.stats) =
   {
     instructions;
-    cycles = s.Pf_cpu.Trace.cycles;
+    cycles = s.Pf_cpu.Pipeline.cycles;
     ipc =
-      (if s.Pf_cpu.Trace.cycles = 0 then 0.0
-       else float_of_int instructions /. float_of_int s.Pf_cpu.Trace.cycles);
-    fetch_accesses = s.Pf_cpu.Trace.fetch_accesses;
-    cache_accesses = s.Pf_cpu.Trace.cache_accesses;
-    cache_misses = s.Pf_cpu.Trace.cache_misses;
-    miss_rate_pm = s.Pf_cpu.Trace.miss_rate_per_million;
-    dcache_miss_rate_pm = s.Pf_cpu.Trace.dcache_miss_rate_pm;
-    power = s.Pf_cpu.Trace.power;
+      (if s.Pf_cpu.Pipeline.cycles = 0 then 0.0
+       else
+         float_of_int instructions /. float_of_int s.Pf_cpu.Pipeline.cycles);
+    fetch_accesses = s.Pf_cpu.Pipeline.fetch_accesses;
+    cache_accesses = s.Pf_cpu.Pipeline.cache_accesses;
+    cache_misses = s.Pf_cpu.Pipeline.cache_misses;
+    miss_rate_pm = s.Pf_cpu.Pipeline.miss_rate_per_million;
+    dcache_miss_rate_pm = s.Pf_cpu.Pipeline.dcache_miss_rate_pm;
+    power = s.Pf_cpu.Pipeline.power;
     gate_count = gates_for cfg;
   }
 
-let arm_sweep_1pass ~image ~geometries trace =
+let arm_sweep_1pass ~(image : Pf_arm.Image.t) ~geometries trace =
   let r =
-    Sweep.run ~params_of:params_for ~geometries
-      ~fetch_data:(fun addr -> Pf_arm.Image.word_at image addr)
-      trace
+    Sweep.run ~geometries ~words:image.Pf_arm.Image.words
+      ~code_base:image.Pf_arm.Image.code_base trace
   in
   List.mapi
     (fun i g ->
@@ -149,18 +137,15 @@ let arm_sweep_1pass ~image ~geometries trace =
         variant = Arm;
         geometry = g;
         metrics =
-          metrics_of_stats g ~instructions:s.Pf_cpu.Trace.instructions s;
+          metrics_of_stats g ~instructions:s.Pf_cpu.Pipeline.instructions s;
       })
     geometries
 
 let fits_sweep_1pass ~dict_budget ~(like : Pf_fits.Run.result) ~geometries
     (tr : Pf_fits.Translate.t) trace =
-  let code_base = tr.Pf_fits.Translate.code_base in
-  let words = tr.Pf_fits.Translate.words in
   let r =
-    Sweep.run ~params_of:params_for ~geometries
-      ~fetch_data:(fun addr -> words.((addr - code_base) lsr 2))
-      trace
+    Sweep.run ~geometries ~words:tr.Pf_fits.Translate.words
+      ~code_base:tr.Pf_fits.Translate.code_base trace
   in
   List.mapi
     (fun i g ->

@@ -9,12 +9,13 @@
     for dense grids — by ONE {!Sweep} pass per trace that measures all
     geometries simultaneously with bit-identical results.  The engine is
     chosen per space ({!Space.choose_engine}) unless forced via
-    [?engine].  Per-point power uses
-    {!Pf_power.Account.Params.for_geometry}, so coefficients scale
+    [?engine].  Every point is priced by its own geometry, as every
+    charging stack is ({!Pf_power.Account.create}): coefficients scale
     analytically with the read width while both paper geometries see the
     calibrated defaults unchanged — the ARM16/ARM8/FITS16/FITS8 grid
     points reproduce the harness numbers bit-for-bit (asserted by
-    test/test_dse.ml).
+    test/test_dse.ml), and a direct run at any geometry reports the
+    same power as its grid point.
 
     Benchmarks fan out on {!Pf_util.Pool} with per-benchmark fault
     isolation ({!Pf_util.Sim_error.protect} + a monotonic deadline), and

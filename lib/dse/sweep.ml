@@ -80,8 +80,6 @@ open Pf_util
 module Icache = Pf_cache.Icache
 module Account = Pf_power.Account
 
-let where = "dse.sweep"
-
 (* Lane masks live in one immediate int; 62 keeps clear of the sign bit.
    Profiles with more associativity points than this are split into
    chunks that each re-run the (cheap) stack search. *)
@@ -90,7 +88,7 @@ let max_lanes = 62
 type miss_classes = { compulsory : int; capacity : int; conflict : int }
 
 type result = {
-  stats : Pf_cpu.Trace.stats array;
+  stats : Pf_cpu.Pipeline.stats array;
   classes : miss_classes array option;
 }
 
@@ -198,8 +196,7 @@ let[@inline] slices_get slices off nslices bit =
   !v
 
 let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
-    ?(params_of = fun (_ : Icache.config) -> Account.Params.default)
-    ~geometries ~fetch_data trace =
+    ~geometries ~words ~code_base trace =
   let cfgs = Array.of_list geometries in
   let nl = Array.length cfgs in
   if nl = 0 then
@@ -207,20 +204,12 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
   else begin
     Array.iter Icache.validate cfgs;
     let geoms = Array.map Pf_power.Geometry.of_config cfgs in
-    let params = Array.map params_of cfgs in
+    (* each lane is priced by the account its own replay would build;
+       pricing never changes the peak window, so windows close on the
+       same trace index in every lane *)
+    let accounts = Array.map Account.create geoms in
+    let params = Array.map Account.params accounts in
     let kwin = params.(0).Account.Params.peak_window_insns in
-    Array.iter
-      (fun (p : Account.Params.t) ->
-        if p.Account.Params.peak_window_insns <> kwin then
-          Sim_error.raisef Sim_error.Invalid_config ~where
-            "peak_window_insns must be uniform across geometries \
-             (got %d and %d): windows must close on the same trace index \
-             in every lane"
-            kwin p.Account.Params.peak_window_insns)
-      params;
-    if kwin <= 0 then
-      Sim_error.raisef Sim_error.Invalid_config ~where
-        "peak_window_insns must be positive (got %d)" kwin;
     let nslices =
       let rec bits k n = if k = 0 then n else bits (k lsr 1) (n + 1) in
       bits kwin 1
@@ -563,7 +552,7 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
         let word = addr land lnot 3 in
         let fetched = word <> !last_fetch || not fbuf in
         if fetched then begin
-          let data = fetch_data word in
+          let data = words.((word - code_base) lsr 2) in
           w_acc := !w_acc + 1;
           w_out_tog :=
             !w_out_tog + Icache.output_toggle ~last_out:!last_out ~out:data;
@@ -756,7 +745,7 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
           let m = lane_misses.(i) in
           let cycles = lane_cycles.(i) in
           {
-            Pf_cpu.Trace.instructions = n;
+            Pf_cpu.Pipeline.instructions = n;
             cycles;
             fetch_accesses = f;
             cache_accesses = f;
@@ -766,8 +755,7 @@ let run ?(pipeline_cfg = Pf_cpu.Pipeline.sa1100) ?(classify = false)
                else 1_000_000.0 *. float_of_int m /. float_of_int f);
             dcache_miss_rate_pm = dpm;
             power =
-              Account.report_of_counts ~params:params.(l) geoms.(l)
-                ~accesses:f
+              Account.report_of_counts accounts.(l) ~accesses:f
                 ~toggles:(!tot_out_tog + profs.(lane_prof.(l)).idx_tog_tot)
                 ~refill_words:(m * lane_bw.(l))
                 ~cycles ~peak:lane_peak.(i);

@@ -35,7 +35,7 @@
 type miss_classes = { compulsory : int; capacity : int; conflict : int }
 
 type result = {
-  stats : Pf_cpu.Trace.stats array;
+  stats : Pf_cpu.Pipeline.stats array;
       (** one per input geometry, in input order; each bit-identical to
           [Trace.replay ~cache_cfg:geometry ...] of the same trace *)
   classes : miss_classes array option;
@@ -45,22 +45,18 @@ type result = {
 val run :
   ?pipeline_cfg:Pf_cpu.Pipeline.config ->
   ?classify:bool ->
-  ?params_of:(Pf_cache.Icache.config -> Pf_power.Account.Params.t) ->
   geometries:Pf_cache.Icache.config list ->
-  fetch_data:(int -> int) ->
+  words:int array ->
+  code_base:int ->
   Pf_cpu.Trace.t ->
   result
 (** Evaluate every geometry of [geometries] against the trace in one
-    pass.  [fetch_data] must return the word at an aligned address of
-    the code segment the recording run fetched from (the [words] a
-    {!Pf_cpu.Trace.replay} takes).  [params_of] maps
-    each geometry to its power parameters (default: the same
-    [Account.Params.default] a bare replay uses; the explorer passes
-    [Account.Params.for_geometry]).  All parameter sets must agree on
-    [peak_window_insns] — peak windows must close at the same trace
-    index in every lane — otherwise a [Sim_error] of kind
-    [Invalid_config] is raised.  [classify] (default false) additionally
-    classifies every miss per lane; this engages a slower shared-shadow
-    path and is meant for differential tests, not hot sweeps.
+    pass.  [words]/[code_base] must be the code segment the recording
+    run fetched from, as {!Pf_cpu.Trace.replay} takes it.  Each lane is
+    priced by its own geometry, exactly as the account of its replay
+    ({!Pf_power.Account.create}).  [classify] (default false)
+    additionally classifies every miss per lane; this engages a slower
+    shared-shadow path and is meant for differential tests, not hot
+    sweeps.
     Geometries are validated ({!Pf_cache.Icache.validate}); duplicates
     are allowed and evaluated independently. *)

@@ -25,11 +25,9 @@ let has_substring ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-let default_cache_cfg = Pf_cache.Icache.config ~size_bytes:(16 * 1024) ()
-
 let run ?(trials = 20) ?(parity = false) ?max_steps
-    ?(cache_cfg = default_cache_cfg) ?jobs ~target ~rate ~seed ~reference
-    (tr : Pf_fits.Translate.t) =
+    ?(cache_cfg = Pf_cpu.Step.default_cache_cfg) ?jobs ~target ~rate ~seed
+    ~reference (tr : Pf_fits.Translate.t) =
   let baseline = Pf_fits.Run.run ~cache_cfg tr in
   let budget =
     match max_steps with
@@ -63,11 +61,9 @@ let run ?(trials = 20) ?(parity = false) ?max_steps
           let cache = Pf_cache.Icache.create cache_cfg in
           let t =
             Injector.schedule_icache_flips trng ~rate ~parity
-              ~accesses:baseline.Pf_fits.Run.cache_accesses ~cfg:cache_cfg
-              cache
+              ~accesses:baseline.Pf_fits.Run.cache_accesses cache
           in
-          ( (fun () ->
-              Pf_fits.Run.run ~cache ~cache_cfg ~max_steps:budget tr),
+          ( (fun () -> Pf_fits.Run.run ~cache ~max_steps:budget tr),
             (fun () -> t),
             parity && t.Injector.parity_detectable > 0 )
       | Injector.Regs ->
@@ -79,7 +75,7 @@ let run ?(trials = 20) ?(parity = false) ?max_steps
     let result = Sim_error.protect ~where:"fault.campaign" run_trial in
     (result, trial_stats (), icache_detected)
   in
-  let outcomes = Pf_harness.Pool.map ?jobs one_trial (Array.to_list trngs) in
+  let outcomes = Pf_util.Pool.map ?jobs one_trial (Array.to_list trngs) in
   let flips = ref 0 and corrupted = ref 0 and detectable = ref 0 in
   let clean = ref 0 and detected = ref 0 and silent = ref 0 in
   let divergent = ref 0 and crashed = ref 0 in

@@ -131,9 +131,9 @@ let corrupt_dict rng ~rate ~parity (tr : T.t) =
 
 (* ---- I-cache tags ------------------------------------------------------ *)
 
-let schedule_icache_flips rng ~rate ~parity ~accesses ~cfg cache =
+let schedule_icache_flips rng ~rate ~parity ~accesses cache =
   let nslots = Pf_cache.Icache.slots cache in
-  let tag_bits = Pf_cache.Icache.tag_bits cfg in
+  let tag_bits = Pf_cache.Icache.tag_bits (Pf_cache.Icache.config_of cache) in
   let flips = ref 0 and corrupted = ref 0 and detectable = ref 0 in
   for slot = 0 to nslots - 1 do
     match flip_bits rng ~rate ~width:tag_bits with

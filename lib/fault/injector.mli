@@ -54,7 +54,7 @@ val corrupt_dict :
 
 val schedule_icache_flips :
   Pf_util.Rng.t -> rate:float -> parity:bool -> accesses:int ->
-  cfg:Pf_cache.Icache.config -> Pf_cache.Icache.t -> trial
+  Pf_cache.Icache.t -> trial
 (** Plant tag-array flips, each scheduled at a uniformly random access
     count in [\[1, accesses\]].  With [parity], detected (odd-flip) slots
     are invalidated-and-refetched rather than corrupted, so they are not

@@ -69,36 +69,52 @@ let budget_fault max_steps =
 (* A FITS core: the translated stream predecoded, with the per-slot
    source-retirement flags ([Translate.first], singleton groups) that
    drive the ARM-instruction counts and the 1-to-1 mapping rate. *)
-let stepper ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify
-    ?max_steps ?deadline ?trace (tr : Translate.t) =
+let stepper ?cache ?cache_cfg ?pipeline_cfg ?classify ?max_steps ?deadline
+    ?trace (tr : Translate.t) =
   let insns = tr.Translate.insns in
   let first = Array.map (fun fi -> fi.Translate.first) insns in
   let single = Array.map (fun fi -> fi.Translate.group_len = 1) insns in
-  Pf_cpu.Step.create ?cache ?cache_cfg ?pipeline_cfg ?power_params ?classify
-    ?max_steps ?deadline ?trace ~src:(first, single) ~isize:2
+  Pf_cpu.Step.create ?cache ?cache_cfg ?pipeline_cfg ?classify ?max_steps
+    ?deadline ?trace ~src:(first, single) ~isize:2
     ~code_base:tr.Translate.code_base ~words:tr.Translate.words
     ~entry:tr.Translate.entry ~uops:(predecode tr)
     (Pf_arm.Exec.create tr.Translate.image)
 
+let one_to_one_pct ~one ~src =
+  if src = 0 then 0.0 else 100.0 *. float_of_int one /. float_of_int src
+
+(* The one reader of a stack's counters into this runner's record; the
+   execution-derived fields come from the run that executed. *)
+let of_stats ~fits_instructions ~arm_instructions ~dyn_one_to_one_pct ~output
+    (s : P.stats) =
+  {
+    fits_instructions;
+    arm_instructions;
+    dyn_one_to_one_pct;
+    cycles = s.P.cycles;
+    ipc =
+      (if s.P.cycles = 0 then 0.0
+       else float_of_int arm_instructions /. float_of_int s.P.cycles);
+    fetch_accesses = s.P.fetch_accesses;
+    output;
+    cache_accesses = s.P.cache_accesses;
+    cache_misses = s.P.cache_misses;
+    miss_rate_per_million = s.P.miss_rate_per_million;
+    dcache_miss_rate_pm = s.P.dcache_miss_rate_pm;
+    power = s.P.power;
+  }
+
 (* The differential oracle: each step dispatches the slot's
    [Mapping.micro] through [Exec.execute] and feeds the timing model from
    [meta_of_micro]. *)
-let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
-    ~max_steps ?deadline ?on_step ?trace (tr : Translate.t) =
-  let cache =
-    match cache with
-    | Some c -> c
-    | None -> Pf_cache.Icache.create ~classify cache_cfg
-  in
-  let dcache = Pf_cache.Icache.create Pf_cpu.Arm_run.dcache_cfg in
-  let geometry = Pf_power.Geometry.of_config cache_cfg in
-  let account = Pf_power.Account.create ?params:power_params geometry in
+let run_reference ?cache ?cache_cfg ?pipeline_cfg ?classify ~max_steps
+    ?deadline ?on_step ?trace (tr : Translate.t) =
   let code_base = tr.Translate.code_base in
-  let words = tr.Translate.words in
   let pipe =
-    P.create ?config:pipeline_cfg ~cache ~account ~words ~code_base ~isize:2
-      ()
+    P.stack ?config:pipeline_cfg ?classify ?cache ?cache_cfg
+      ~words:tr.Translate.words ~code_base ~isize:2 ()
   in
+  let dcache = Pf_cache.Icache.create Pf_cpu.Trace.dcache_cfg in
   let insns = tr.Translate.insns in
   let ninsns = Array.length insns in
   let st = Pf_arm.Exec.create tr.Translate.image in
@@ -151,42 +167,25 @@ let run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
       pc := o.Pf_arm.Exec.next_pc
     end
   done;
+  let dcache_miss_rate_pm = Pf_cache.Icache.miss_rate_per_million dcache in
   (match trace with
-  | Some t ->
-      Pf_cpu.Trace.set_dcache_rate t
-        (Pf_cache.Icache.miss_rate_per_million dcache)
+  | Some t -> Pf_cpu.Trace.set_dcache_rate t dcache_miss_rate_pm
   | None -> ());
-  let cycles = P.cycles pipe in
-  {
-    fits_instructions = !steps;
-    arm_instructions = !src_retired;
-    dyn_one_to_one_pct =
-      (if !src_retired = 0 then 0.0
-       else 100.0 *. float_of_int !src_one /. float_of_int !src_retired);
-    cycles;
-    ipc =
-      (if cycles = 0 then 0.0
-       else float_of_int !src_retired /. float_of_int cycles);
-    fetch_accesses = P.fetch_accesses pipe;
-    output = Pf_arm.Exec.output st;
-    cache_accesses = Pf_cache.Icache.stats_accesses cache;
-    cache_misses = Pf_cache.Icache.stats_misses cache;
-    miss_rate_per_million = Pf_cache.Icache.miss_rate_per_million cache;
-    dcache_miss_rate_pm = Pf_cache.Icache.miss_rate_per_million dcache;
-    power = Pf_power.Account.report account;
-  }
+  of_stats ~fits_instructions:!steps ~arm_instructions:!src_retired
+    ~dyn_one_to_one_pct:(one_to_one_pct ~one:!src_one ~src:!src_retired)
+    ~output:(Pf_arm.Exec.output st)
+    (P.stats pipe ~dcache_miss_rate_pm)
 
-let run ?(engine = Compiled) ?cache ?(cache_cfg = Pf_cpu.Step.default_cache_cfg)
-    ?pipeline_cfg ?power_params ?(classify = false)
+let run ?(engine = Compiled) ?cache ?cache_cfg ?pipeline_cfg ?classify
     ?(max_steps = 500_000_000) ?deadline ?on_step ?trace (tr : Translate.t) =
   match engine with
   | Reference ->
-      run_reference ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
-        ~max_steps ?deadline ?on_step ?trace tr
+      run_reference ?cache ?cache_cfg ?pipeline_cfg ?classify ~max_steps
+        ?deadline ?on_step ?trace tr
   | Compiled ->
       let core =
-        stepper ?cache ~cache_cfg ?pipeline_cfg ?power_params ~classify
-          ~max_steps ?deadline ?trace tr
+        stepper ?cache ?cache_cfg ?pipeline_cfg ?classify ~max_steps
+          ?deadline ?trace tr
       in
       (match on_step with
       | None -> Pf_cpu.Step.run core
@@ -205,10 +204,7 @@ let run ?(engine = Compiled) ?cache ?(cache_cfg = Pf_cpu.Step.default_cache_cfg)
         fits_instructions = r.Pf_cpu.Step.instructions;
         arm_instructions = src;
         dyn_one_to_one_pct =
-          (if src = 0 then 0.0
-           else
-             100.0 *. float_of_int r.Pf_cpu.Step.src_one_to_one
-             /. float_of_int src);
+          one_to_one_pct ~one:r.Pf_cpu.Step.src_one_to_one ~src;
         cycles = r.Pf_cpu.Step.cycles;
         ipc = r.Pf_cpu.Step.ipc;
         fetch_accesses = r.Pf_cpu.Step.fetch_accesses;
@@ -220,27 +216,12 @@ let run ?(engine = Compiled) ?cache ?(cache_cfg = Pf_cpu.Step.default_cache_cfg)
         power = r.Pf_cpu.Step.power;
       }
 
-let replay ?pipeline_cfg ?power_params ?classify ~cache_cfg ~like
-    (tr : Translate.t) trace =
+let replay ?pipeline_cfg ?classify ~cache_cfg ~like (tr : Translate.t) trace
+    =
   let s =
-    Pf_cpu.Trace.replay ?pipeline_cfg ?power_params ?classify ~cache_cfg
+    Pf_cpu.Trace.replay ?pipeline_cfg ?classify ~cache_cfg
       ~words:tr.Translate.words ~code_base:tr.Translate.code_base trace
   in
-  {
-    fits_instructions = like.fits_instructions;
-    arm_instructions = like.arm_instructions;
-    dyn_one_to_one_pct = like.dyn_one_to_one_pct;
-    cycles = s.Pf_cpu.Trace.cycles;
-    ipc =
-      (if s.Pf_cpu.Trace.cycles = 0 then 0.0
-       else
-         float_of_int like.arm_instructions
-         /. float_of_int s.Pf_cpu.Trace.cycles);
-    fetch_accesses = s.Pf_cpu.Trace.fetch_accesses;
-    output = like.output;
-    cache_accesses = s.Pf_cpu.Trace.cache_accesses;
-    cache_misses = s.Pf_cpu.Trace.cache_misses;
-    miss_rate_per_million = s.Pf_cpu.Trace.miss_rate_per_million;
-    dcache_miss_rate_pm = s.Pf_cpu.Trace.dcache_miss_rate_pm;
-    power = s.Pf_cpu.Trace.power;
-  }
+  of_stats ~fits_instructions:like.fits_instructions
+    ~arm_instructions:like.arm_instructions
+    ~dyn_one_to_one_pct:like.dyn_one_to_one_pct ~output:like.output s

@@ -44,7 +44,6 @@ val stepper :
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pf_cpu.Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
@@ -61,7 +60,6 @@ val run :
   ?cache:Pf_cache.Icache.t ->
   ?cache_cfg:Pf_cache.Icache.config ->
   ?pipeline_cfg:Pf_cpu.Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?classify:bool ->
   ?max_steps:int ->
   ?deadline:Pf_util.Deadline.t ->
@@ -69,18 +67,20 @@ val run :
   ?trace:Pf_cpu.Trace.t ->
   Translate.t ->
   result
-(** [cache] supplies a pre-built I-cache instance (the fault injector uses
-    this to schedule tag flips); its geometry must match [cache_cfg], which
-    still drives the power model.  [on_step] is called after every retired
-    16-bit instruction with the architectural state — the register-file
-    injection hook.  Both default to off and cost nothing when unused.
-    [deadline] is the wall-clock watchdog, polled in the execute loop
-    every [Pf_arm.Exec.deadline_mask + 1] steps.  [trace] (created with
+(** The I-cache, its power account and the pipeline come from
+    {!Pf_cpu.Pipeline.stack}, priced by the run's own geometry.  [cache]
+    supplies a pre-built I-cache instance (the fault injector uses this to
+    schedule tag flips) and brings its own geometry; otherwise a fresh one
+    of [cache_cfg] (default 16 KB / 32 B / 32-way) is built.  [on_step]
+    is called after every retired 16-bit instruction with the
+    architectural state — the register-file injection hook.  Both
+    default to off and cost nothing when unused.  [deadline] is the
+    wall-clock watchdog, polled in the execute loop every
+    [Pf_arm.Exec.deadline_mask + 1] steps.  [trace] (created with
     [isize:2]) records the retired stream for {!replay}. *)
 
 val replay :
   ?pipeline_cfg:Pf_cpu.Pipeline.config ->
-  ?power_params:Pf_power.Account.Params.t ->
   ?classify:bool ->
   cache_cfg:Pf_cache.Icache.config ->
   like:result ->
@@ -88,7 +88,7 @@ val replay :
   Pf_cpu.Trace.t ->
   result
 (** Replay a recorded FITS stream through a fresh cache/pipeline/power
-    stack of another geometry; bit-identical to a direct {!run} with the
-    same [cache_cfg].  Execution-derived fields (instruction counts,
-    mapping rate, program output) are carried over from [like], the
-    result of the recording run. *)
+    stack of another geometry, priced by that geometry; bit-identical to
+    a direct {!run} with the same [cache_cfg].  Execution-derived fields
+    (instruction counts, mapping rate, program output) are carried over
+    from [like], the result of the recording run. *)

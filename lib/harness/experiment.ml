@@ -187,10 +187,10 @@ let run_isolated ?(scale = 1) ?max_steps
 let run_all ?scale ?max_steps ?wall_clock_s ?classify ?engine
     ?(benchmarks = Pf_mibench.Registry.all) ?jobs () =
   let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
+    match jobs with Some j -> max 1 j | None -> Pf_util.Pool.default_jobs ()
   in
   let rows =
-    Pool.map ~jobs
+    Pf_util.Pool.map ~jobs
       (fun b ->
         run_isolated ?scale ?max_steps ?wall_clock_s ?classify ?engine b)
       benchmarks

@@ -88,9 +88,12 @@ type t = {
   mutable peak : float;
 }
 
-let create ?(params = Params.default) geometry =
+(* Every stack is priced by its own geometry; [?params] is the seam for
+   hand-checked coefficients in unit tests. *)
+let create ?params geometry =
   {
-    params;
+    params =
+      (match params with Some p -> p | None -> Params.for_geometry geometry);
     geometry;
     accesses = 0;
     toggles = 0;
@@ -152,8 +155,10 @@ type report = {
   cycles : int;
 }
 
-let report_of_counts ?(params = Params.default) geometry ~accesses ~toggles
-    ~refill_words ~cycles ~peak =
+let params t = t.params
+
+let report_of_counts t ~accesses ~toggles ~refill_words ~cycles ~peak =
+  let params = t.params and geometry = t.geometry in
   let switching = switching_energy params ~accesses ~toggles ~refill_words in
   let internal = internal_per_cycle params geometry *. float_of_int cycles in
   let leakage = leakage_per_cycle params geometry *. float_of_int cycles in
@@ -180,7 +185,7 @@ let report t =
     end
     else t.peak
   in
-  report_of_counts ~params:t.params t.geometry ~accesses:t.accesses
-    ~toggles:t.toggles ~refill_words:t.refill_words ~cycles:t.cycles ~peak
+  report_of_counts t ~accesses:t.accesses ~toggles:t.toggles
+    ~refill_words:t.refill_words ~cycles:t.cycles ~peak
 
 let avg_power r = if r.cycles = 0 then 0.0 else r.total /. float_of_int r.cycles

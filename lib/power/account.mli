@@ -49,15 +49,16 @@ module Params : sig
 
   val for_geometry : ?base:t -> Geometry.t -> t
   (** Analytic scaling of [base] (default {!default}) to an arbitrary
-      cache organization, for design-space sweeps.  A read probes
-      [assoc] ways of [block_bytes] each, so [k_access] scales with
-      [assoc * block_bytes * 8] relative to the reference 32-way / 32 B
-      organization (8192 bits) the constants were calibrated on; at both
-      paper geometries (16 K and 8 K, which share ways and block size)
-      the result equals [base] exactly, so grid points coincide with the
-      published ARM16/ARM8/FITS16/FITS8 numbers.  Cache {e size} affects
-      power through the geometry's gate count (internal and leakage
-      terms) rather than through any coefficient here. *)
+      cache organization: what {!create} prices every account with.  A
+      read probes [assoc] ways of [block_bytes] each, so [k_access]
+      scales with [assoc * block_bytes * 8] relative to the reference
+      32-way / 32 B organization (8192 bits) the constants were
+      calibrated on; at both paper geometries (16 K and 8 K, which share
+      ways and block size) the result equals [base] exactly, so grid
+      points coincide with the published ARM16/ARM8/FITS16/FITS8
+      numbers.  Cache {e size} affects power through the geometry's gate
+      count (internal and leakage terms) rather than through any
+      coefficient here. *)
 end
 
 (** {2 Closed-form energy expressions}
@@ -90,6 +91,17 @@ val window_power :
 type t
 
 val create : ?params:Params.t -> Geometry.t -> t
+(** A fresh account for an I-cache of this geometry, priced by it:
+    [params] defaults to [Params.for_geometry geometry], so every
+    charging stack — direct run, replay, sweep lane — prices one
+    geometry identically.  [params] is the seam for hand-checked
+    coefficients and short peak windows in unit tests; the lint keeps
+    it (and [Params.for_geometry]) out of [lib/] outside this
+    library. *)
+
+val params : t -> Params.t
+(** The coefficients this account prices with — for batch evaluators
+    (the DSE sweep kernel) that evaluate the closed forms themselves. *)
 
 val window_room : t -> int
 (** Retirements left before the open peak window closes; always in
@@ -126,16 +138,16 @@ val report : t -> report
     mid-stream and repeatedly. *)
 
 val report_of_counts :
-  ?params:Params.t ->
-  Geometry.t ->
+  t ->
   accesses:int ->
   toggles:int ->
   refill_words:int ->
   cycles:int ->
   peak:float ->
   report
-(** Build the same report directly from externally-maintained counters —
-    the batch path used by the all-geometry sweep kernel.  Feeding the
+(** The report [t] gives for externally-maintained counters, priced with
+    [t]'s params and geometry ([t]'s own counters are ignored) — the
+    batch path used by the all-geometry sweep kernel.  Feeding the
     counters an incremental accountant would have accumulated yields the
     bit-identical report. *)
 

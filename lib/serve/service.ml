@@ -53,7 +53,9 @@ let cache_key (req : Proto.request) =
   in
   let common =
     [
-      "powerfits-serve/1";
+      (* the version changes whenever a stored result's meaning does:
+         /2 prices direct evaluations by their geometry *)
+      "powerfits-serve/2";
       "action=" ^ Proto.action_name req.Proto.action;
       "program=" ^ Kir_codec.digest r.r_program;
       Printf.sprintf "unroll=%d" r.r_unroll;

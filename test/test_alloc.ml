@@ -155,8 +155,11 @@ let test_single_pass_sweep_alloc () =
   let trace = Pf_cpu.Trace.create ~isize:4 () in
   ignore (Pf_cpu.Arm_run.run ~trace image);
   let geometries = Pf_dse.Space.geometries Pf_dse.Space.full in
-  let fetch_data addr = Pf_arm.Image.word_at image addr in
-  let run () = ignore (Pf_dse.Sweep.run ~geometries ~fetch_data trace) in
+  let run () =
+    ignore
+      (Pf_dse.Sweep.run ~geometries ~words:image.Pf_arm.Image.words
+         ~code_base:image.Pf_arm.Image.code_base trace)
+  in
   run ();
   check_budget "Sweep.run (36-geometry single-pass kernel)"
     (minor_delta run)

@@ -39,9 +39,9 @@ let pp_fits (r : FR.result) =
     r.FR.power.Pf_power.Account.peak_power (String.length r.FR.output)
 
 (* [Arm_run.run]'s result, from the same core driven by [Step.step]
-   alone. *)
-let arm_per_step ?cache ?(cache_cfg = cache_16k) ?max_steps ?trace image =
-  let core = Pf_cpu.Step.of_image ?cache ~cache_cfg ?max_steps ?trace image in
+   alone; without [cache] the core gets the default 16 KB I-cache. *)
+let arm_per_step ?cache ?max_steps ?trace image =
+  let core = Pf_cpu.Step.of_image ?cache ?max_steps ?trace image in
   while not (Pf_cpu.Step.halted core) do
     Pf_cpu.Step.step core
   done;
@@ -60,9 +60,9 @@ let arm_per_step ?cache ?(cache_cfg = cache_16k) ?max_steps ?trace image =
   }
 
 (* [Fits.Run.run] with a no-op [on_step] hook takes the per-instruction
-   path. *)
+   path (default 16 KB I-cache, as [arm_per_step]). *)
 let fits_per_step ?cache ?max_steps ?trace tr =
-  FR.run ?cache ~cache_cfg:cache_16k ?max_steps ?trace
+  FR.run ?cache ?max_steps ?trace
     ~on_step:(fun _ ~steps:_ -> ()) tr
 
 let check_arm what ~oracle a b =
@@ -145,10 +145,10 @@ let test_classification () =
          C.stats_conflict cache)
       in
       let arm engine cache =
-        ignore (AR.run ~engine ~cache ~cache_cfg:cache_16k image)
+        ignore (AR.run ~engine ~cache image)
       in
       let fits engine cache =
-        ignore (FR.run ~engine ~cache ~cache_cfg:cache_16k tr)
+        ignore (FR.run ~engine ~cache tr)
       in
       let ref_c = classes (arm AR.Reference) in
       Alcotest.(check (triple int int int))

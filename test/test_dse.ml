@@ -294,30 +294,24 @@ let prop_replay_equals_direct =
     ~count:12 geometry_arb
     (fun g ->
       let image, trace, recorded = Lazy.force replay_setup in
-      let params =
-        Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config g)
-      in
       let direct_cache = C.create ~classify:true g in
-      let direct =
-        Pf_cpu.Arm_run.run ~cache:direct_cache ~cache_cfg:g
-          ~power_params:params image
-      in
+      let direct = Pf_cpu.Arm_run.run ~cache:direct_cache image in
       let replay_cache = C.create ~classify:true g in
       let replayed =
-        Pf_cpu.Trace.replay ~power_params:params ~cache:replay_cache
-          ~cache_cfg:g ~words:image.Pf_arm.Image.words
+        Pf_cpu.Trace.replay ~cache:replay_cache
+          ~words:image.Pf_arm.Image.words
           ~code_base:image.Pf_arm.Image.code_base trace
       in
       direct.Pf_cpu.Arm_run.instructions
-      = replayed.Pf_cpu.Trace.instructions
-      && direct.Pf_cpu.Arm_run.cycles = replayed.Pf_cpu.Trace.cycles
+      = replayed.Pf_cpu.Pipeline.instructions
+      && direct.Pf_cpu.Arm_run.cycles = replayed.Pf_cpu.Pipeline.cycles
       && direct.Pf_cpu.Arm_run.fetch_accesses
-         = replayed.Pf_cpu.Trace.fetch_accesses
+         = replayed.Pf_cpu.Pipeline.fetch_accesses
       && direct.Pf_cpu.Arm_run.cache_accesses
-         = replayed.Pf_cpu.Trace.cache_accesses
+         = replayed.Pf_cpu.Pipeline.cache_accesses
       && direct.Pf_cpu.Arm_run.cache_misses
-         = replayed.Pf_cpu.Trace.cache_misses
-      && direct.Pf_cpu.Arm_run.power = replayed.Pf_cpu.Trace.power
+         = replayed.Pf_cpu.Pipeline.cache_misses
+      && direct.Pf_cpu.Arm_run.power = replayed.Pf_cpu.Pipeline.power
       && C.output_toggles direct_cache = C.output_toggles replay_cache
       && C.addr_toggles direct_cache = C.addr_toggles replay_cache
       && C.refill_words direct_cache = C.refill_words replay_cache
@@ -332,51 +326,48 @@ let bits = Int64.bits_of_float
 
 let sweep_matches_replay gs =
   let image, trace, _ = Lazy.force replay_setup in
-  let fetch_data a = Pf_arm.Image.word_at image a in
-  let params_of g =
-    Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config g)
-  in
+  let words = image.Pf_arm.Image.words
+  and code_base = image.Pf_arm.Image.code_base in
   let sw =
-    Pf_dse.Sweep.run ~classify:true ~params_of ~geometries:gs ~fetch_data
-      trace
+    Pf_dse.Sweep.run ~classify:true ~geometries:gs ~words ~code_base trace
   in
   let classes = Option.get sw.Pf_dse.Sweep.classes in
   List.for_all
     (fun (i, g) ->
       let cache = C.create ~classify:true g in
       let st =
-        Pf_cpu.Trace.replay ~power_params:(params_of g) ~cache ~cache_cfg:g
-          ~words:image.Pf_arm.Image.words
-          ~code_base:image.Pf_arm.Image.code_base trace
+        Pf_cpu.Trace.replay ~cache ~words ~code_base trace
       in
       let sv = sw.Pf_dse.Sweep.stats.(i) in
       let cl = classes.(i) in
-      let p = params_of g in
+      let p =
+        Pf_power.Account.Params.for_geometry (Pf_power.Geometry.of_config g)
+      in
       (* the trace stats record, bit-for-bit (floats compared as bits) *)
-      st.Pf_cpu.Trace.instructions = sv.Pf_cpu.Trace.instructions
-      && st.Pf_cpu.Trace.cycles = sv.Pf_cpu.Trace.cycles
-      && st.Pf_cpu.Trace.fetch_accesses = sv.Pf_cpu.Trace.fetch_accesses
-      && st.Pf_cpu.Trace.cache_accesses = sv.Pf_cpu.Trace.cache_accesses
-      && st.Pf_cpu.Trace.cache_misses = sv.Pf_cpu.Trace.cache_misses
-      && bits st.Pf_cpu.Trace.miss_rate_per_million
-         = bits sv.Pf_cpu.Trace.miss_rate_per_million
-      && bits st.Pf_cpu.Trace.dcache_miss_rate_pm
-         = bits sv.Pf_cpu.Trace.dcache_miss_rate_pm
-      && bits st.Pf_cpu.Trace.power.Pf_power.Account.switching
-         = bits sv.Pf_cpu.Trace.power.Pf_power.Account.switching
-      && bits st.Pf_cpu.Trace.power.Pf_power.Account.internal
-         = bits sv.Pf_cpu.Trace.power.Pf_power.Account.internal
-      && bits st.Pf_cpu.Trace.power.Pf_power.Account.leakage
-         = bits sv.Pf_cpu.Trace.power.Pf_power.Account.leakage
-      && bits st.Pf_cpu.Trace.power.Pf_power.Account.total
-         = bits sv.Pf_cpu.Trace.power.Pf_power.Account.total
-      && bits st.Pf_cpu.Trace.power.Pf_power.Account.peak_power
-         = bits sv.Pf_cpu.Trace.power.Pf_power.Account.peak_power
+      st.Pf_cpu.Pipeline.instructions = sv.Pf_cpu.Pipeline.instructions
+      && st.Pf_cpu.Pipeline.cycles = sv.Pf_cpu.Pipeline.cycles
+      && st.Pf_cpu.Pipeline.fetch_accesses = sv.Pf_cpu.Pipeline.fetch_accesses
+      && st.Pf_cpu.Pipeline.cache_accesses = sv.Pf_cpu.Pipeline.cache_accesses
+      && st.Pf_cpu.Pipeline.cache_misses = sv.Pf_cpu.Pipeline.cache_misses
+      && bits st.Pf_cpu.Pipeline.miss_rate_per_million
+         = bits sv.Pf_cpu.Pipeline.miss_rate_per_million
+      && bits st.Pf_cpu.Pipeline.dcache_miss_rate_pm
+         = bits sv.Pf_cpu.Pipeline.dcache_miss_rate_pm
+      && bits st.Pf_cpu.Pipeline.power.Pf_power.Account.switching
+         = bits sv.Pf_cpu.Pipeline.power.Pf_power.Account.switching
+      && bits st.Pf_cpu.Pipeline.power.Pf_power.Account.internal
+         = bits sv.Pf_cpu.Pipeline.power.Pf_power.Account.internal
+      && bits st.Pf_cpu.Pipeline.power.Pf_power.Account.leakage
+         = bits sv.Pf_cpu.Pipeline.power.Pf_power.Account.leakage
+      && bits st.Pf_cpu.Pipeline.power.Pf_power.Account.total
+         = bits sv.Pf_cpu.Pipeline.power.Pf_power.Account.total
+      && bits st.Pf_cpu.Pipeline.power.Pf_power.Account.peak_power
+         = bits sv.Pf_cpu.Pipeline.power.Pf_power.Account.peak_power
       (* toggle accounting: the sweep's switching energy must equal the
          closed form evaluated on the replay cache's own toggle/refill
          counters — this pins the sweep's per-profile index-toggle and
          shared output-toggle sums to the cache model's, bit-for-bit *)
-      && bits sv.Pf_cpu.Trace.power.Pf_power.Account.switching
+      && bits sv.Pf_cpu.Pipeline.power.Pf_power.Account.switching
          = bits
              (Pf_power.Account.switching_energy p
                 ~accesses:(C.stats_accesses cache)

@@ -304,6 +304,46 @@ let prop_issue_events_equiv =
       feed 0 c.k_cuts;
       kfingerprint single = kfingerprint batched)
 
+(* [stack] prices its account by the geometry of the I-cache it fetches
+   through — built from [cache_cfg] or handed over pre-built — and refuses
+   a [cache_cfg] that disagrees with a pre-built cache. *)
+let test_stack_priced_by_geometry () =
+  let g = Pf_cache.Icache.config ~size_bytes:4096 ~assoc:8 () in
+  let geometry = Pf_power.Geometry.of_config g in
+  let words = Array.make 64 0 and code_base = 0x8000 in
+  let power pipe =
+    issue pipe 0x8000;
+    issue pipe 0x8024;
+    (P.stats pipe ~dcache_miss_rate_pm:0.0).P.power
+  in
+  let by_hand =
+    P.create ~cache:(Pf_cache.Icache.create g)
+      ~account:
+        (Pf_power.Account.create
+           ~params:(Pf_power.Account.Params.for_geometry geometry)
+           geometry)
+      ~words ~code_base ~isize:4 ()
+  in
+  let expected = power by_hand in
+  Alcotest.(check bool)
+    "from cache_cfg" true
+    (power (P.stack ~cache_cfg:g ~words ~code_base ~isize:4 ()) = expected);
+  Alcotest.(check bool)
+    "from a pre-built cache" true
+    (power
+       (P.stack ~cache:(Pf_cache.Icache.create g) ~words ~code_base ~isize:4
+          ())
+    = expected);
+  match
+    P.stack ~cache:(Pf_cache.Icache.create g) ~cache_cfg:P.default_cache_cfg
+      ~words ~code_base ~isize:4 ()
+  with
+  | _ -> Alcotest.fail "a disagreeing cache_cfg was accepted"
+  | exception Pf_util.Sim_error.Error e ->
+      Alcotest.(check bool)
+        "Invalid_config" true
+        (e.Pf_util.Sim_error.kind = Pf_util.Sim_error.Invalid_config)
+
 let tests =
   [
     Alcotest.test_case "dual issue pairs" `Quick test_dual_issue_pairs;
@@ -323,4 +363,6 @@ let tests =
     Alcotest.test_case "single-issue config" `Quick test_single_issue_config;
     Alcotest.test_case "IPC accounting" `Quick test_ipc_accounting;
     QCheck_alcotest.to_alcotest prop_issue_events_equiv;
+    Alcotest.test_case "stack priced by its geometry" `Quick
+      test_stack_priced_by_geometry;
   ]

@@ -111,7 +111,7 @@ let test_closed_form_equivalence () =
     [ (3, 0, 1); (15, 8, 26); (0, 0, 2); (7, 0, 1); (2, 8, 25); (9, 0, 3) ];
   let r = Acc.report a in
   let direct =
-    Acc.report_of_counts ~params (geom 8) ~accesses:!acc ~toggles:!tog
+    Acc.report_of_counts a ~accesses:!acc ~toggles:!tog
       ~refill_words:!rw ~cycles:!cyc ~peak:r.Acc.peak_power
   in
   check_bool "bit-identical switching" true

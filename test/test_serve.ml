@@ -435,6 +435,44 @@ let test_compute_matches_direct () =
         (Option.bind (J.member "output_md5" result) J.to_string_opt
         = Some (Digest.to_hex (Digest.string direct.Pf_cpu.Arm_run.output)))
 
+let test_evaluate_matches_explore_point () =
+  (* a direct evaluate and an explored point price the same geometry the
+     same way; at 4 KB / 32 B / 8-way the read width is a quarter of the
+     calibration organization's, so a stack priced with the paper
+     defaults would report a different total *)
+  let geometry = Pf_cache.Icache.config ~size_bytes:4096 ~assoc:8 () in
+  let req action =
+    {
+      Proto.default_request with
+      Proto.action;
+      program = Proto.Named "crc32";
+      geometry;
+    }
+  in
+  let compute r =
+    match Service.compute r with
+    | Ok (result, _) -> result
+    | Error e -> Alcotest.fail (SE.to_string e)
+  in
+  let power j =
+    match J.member "power" j with
+    | Some p -> J.to_string p
+    | None -> Alcotest.fail "missing power"
+  in
+  let direct = compute (req Proto.Evaluate) in
+  let explored = compute (req Proto.Explore_point) in
+  let arm_point =
+    match Option.bind (J.member "points" explored) J.to_list_opt with
+    | Some points ->
+        List.find
+          (fun p ->
+            Option.bind (J.member "variant" p) J.to_string_opt = Some "arm")
+          points
+    | None -> Alcotest.fail "missing points"
+  in
+  check_string "evaluate power = explore_point power (bit-identical)"
+    (power arm_point) (power direct)
+
 let test_oversized_program_invalid_config () =
   (* a program too big to link is the client's error, reported as
      Invalid_config rather than Internal *)
@@ -836,6 +874,8 @@ let tests =
     Alcotest.test_case "service: cache keys" `Quick test_cache_keys;
     Alcotest.test_case "service: matches direct run" `Quick
       test_compute_matches_direct;
+    Alcotest.test_case "service: evaluate and explore_point price alike"
+      `Quick test_evaluate_matches_explore_point;
     Alcotest.test_case "service: oversized program is Invalid_config" `Quick
       test_oversized_program_invalid_config;
     Alcotest.test_case "service: cached reply bit-identical" `Quick

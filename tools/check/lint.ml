@@ -121,6 +121,26 @@ let scoped_forbidden =
         ])
       [ "lib/arm/bexec"; "lib/cpu/cexec" ]
 
+(* Rules that hold everywhere in lib/ except under one tree:
+   (exempt path substring, pattern, reason).  How power coefficients
+   depend on a cache geometry is decided once, in lib/power/:
+   [Account.create] prices every charging stack with
+   [Params.for_geometry].  A caller elsewhere that picks coefficients
+   itself prices one geometry two ways — direct runs and explored points
+   once disagreed exactly so.  Hand-checked coefficients stay a unit-test
+   seam outside lib/. *)
+let pricing_reason =
+  "power pricing is decided in lib/power/: build accounts with \
+   Account.create geometry (or Pipeline.stack) and let the geometry \
+   price them"
+
+let forbidden_outside =
+  List.map
+    (fun pat -> ("lib/power/", pat, pricing_reason))
+    [
+      "Params.for_geometry"; "Account.create ~params"; "Account.create ?params";
+    ]
+
 let allowed file line =
   List.exists
     (fun (suffix, sub) ->
@@ -202,7 +222,19 @@ let () =
                    scope reason;
                  incr violations
                end)
-             scoped_forbidden
+             scoped_forbidden;
+           List.iter
+             (fun (exempt, pat, reason) ->
+               if
+                 (not (has_sub ~sub:exempt file))
+                 && has_sub ~sub:pat line
+                 && not (allowed file line)
+               then begin
+                 Printf.eprintf "%s:%d: `%s' outside %s — %s\n" file !lineno
+                   pat exempt reason;
+                 incr violations
+               end)
+             forbidden_outside
          done
        with End_of_file -> ());
       close_in ic)
